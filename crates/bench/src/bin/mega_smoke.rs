@@ -26,7 +26,9 @@
 //! non-zero (panics) on any assertion.
 
 use diic_bench::FnvWriter;
-use diic_core::{check_with_sink, CheckOptions, CountingSink, SpillingSink, StageEngine};
+use diic_core::{
+    check_with_sink, effective_parallelism, CheckOptions, CountingSink, SpillingSink, StageEngine,
+};
 use diic_tech::nmos::nmos_technology;
 use std::time::Instant;
 
@@ -57,6 +59,13 @@ fn main() {
         ..CheckOptions::default() // tiled interactions are the default
     };
     let engine = StageEngine::diic_pipeline();
+    // The RSS ceiling depends on how many workers ran: log both the
+    // resolved worker count and the cores the process may use.
+    println!(
+        "workers {} (nproc {})",
+        effective_parallelism(options.parallelism),
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
 
     let t0 = Instant::now();
     let (report, reported) = match mode.as_str() {

@@ -1684,11 +1684,11 @@ pub fn e20_library(scale: Scale) -> String {
 /// Drives the `diic-api` router **in-process** (the tower `oneshot`
 /// idiom — no sockets, so the numbers are the service's own cost, not
 /// the kernel's): opens a pool of sessions over generated inverter
-/// arrays, then hammers `POST /sessions/{id}/edits` from several
-/// threads with net-neutral edit batches (a move, or an add
-/// immediately un-done by a remove — the session ends each request at
-/// its original item count, so concurrent writers never invalidate
-/// each other's indices). Reports p50/p99 edit latency per thread
+/// arrays with injected errors, then hammers
+/// `POST /sessions/{id}/edits` from several threads with net-neutral
+/// edit batches (a move, or an add immediately un-done by a remove —
+/// the session ends each request at its original item count, so
+/// concurrent writers never invalidate each other's indices). Reports p50/p99 edit latency per thread
 /// count, end-of-run `GET /report` latency, and the pool's
 /// sessions-per-GB from the registry's own memory accounting.
 pub fn e21_service_load(scale: Scale) -> String {
@@ -1709,8 +1709,18 @@ pub fn e21_service_load(scale: Scale) -> String {
     }));
     let app = Arc::new(app);
 
-    // Open the pool.
-    let chip = generate(&ChipSpec::clean(nx, ny));
+    // Open the pool over faulted arrays, so the end-of-run report has
+    // real volume to stream.
+    let chip = generate(&ChipSpec::with_errors(
+        nx,
+        ny,
+        vec![
+            ErrorKind::NarrowWire,
+            ErrorKind::CloseSpacing,
+            ErrorKind::AccidentalTransistor,
+        ],
+        21,
+    ));
     let open_body = format!(
         r#"{{"cif": {}, "options": {{"erc": false}}}}"#,
         serde_json::to_string(&serde_json::Value::from(chip.cif.as_str()))
@@ -1814,6 +1824,7 @@ pub fn e21_service_load(scale: Scale) -> String {
     assert_eq!(resp.status, StatusCode::OK);
     let report_bytes = resp.into_bytes().unwrap().len();
     let t_report = t0.elapsed();
+    assert!(report_bytes > 0, "a faulted session must stream a report");
 
     // Session density from the registry's own accounting.
     let resp = app.oneshot(Request::new(Method::Get, "/stats"));

@@ -248,6 +248,26 @@ mod tests {
     use diic_tech::nmos::nmos_technology;
 
     #[test]
+    fn box_at_the_coordinate_limit_reports_instead_of_panicking() {
+        // The box's right edge sits 500 units below `i64::MAX`: the
+        // rule-reach inflations around it and its skeleton's doubled
+        // coordinates overflow unless they saturate.
+        let tech = nmos_technology();
+        for hierarchical in [false, true] {
+            let r = check_cif(
+                "L NM; B 1000 1000 9223372036854774807 0; B 1000 1000 0 0; E",
+                &tech,
+                &CheckOptions {
+                    hierarchical,
+                    ..Default::default()
+                },
+            )
+            .expect("valid CIF");
+            assert_eq!(r.element_count, 2, "hierarchical={hierarchical}");
+        }
+    }
+
+    #[test]
     fn clean_layout_is_clean() {
         let tech = nmos_technology();
         let r = check_cif(

@@ -74,7 +74,7 @@
 //! which is how the incremental session recomputes the (global, and
 //! therefore un-clippable) property after an edit.
 
-use crate::binding::ChipView;
+use crate::binding::{ChipView, Istr};
 use crate::library::{BoundTechnology, ContentHash, LibraryCache};
 use crate::netgen::NetgenResult;
 use crate::parallel::{effective_parallelism, run_ordered};
@@ -163,9 +163,13 @@ pub struct InteractStats {
     pub distance_checks: u64,
     /// Violations reported.
     pub violations: u64,
-    /// Hierarchical cache hits (instance pairs answered from cache).
+    /// Hierarchical cache hits (scopes and scope pairs answered from a
+    /// fill made for an earlier one).
     pub cache_hits: u64,
-    /// Hierarchical cache misses (instance pairs searched geometrically).
+    /// Hierarchical cache misses (fills searched geometrically): the
+    /// first scope or scope pair of each symbol key, plus every fill
+    /// of the symbol-less loose scope, intra or cross — those are
+    /// never cached.
     pub cache_misses: u64,
     /// The largest **single** candidate-pair buffer held at any point:
     /// the full pair count for a buffered run, the widest tile for a
@@ -395,7 +399,7 @@ pub fn check_interactions_among_clipped(
     let cell = interaction_cell_size(tech);
     let workers = effective_parallelism(options.parallelism);
 
-    let local = local_candidates(view, ids, max_range, cell);
+    let local = local_candidates(view, ids, &scope_index(view, ids, cell), max_range);
     let pairs: Vec<(usize, usize)> = local
         .into_iter()
         .map(|(li, lj)| (ids[li], ids[lj]))
@@ -582,14 +586,21 @@ struct HierPlan {
 /// The search runs in three deterministic steps so the cache fills can
 /// be shared across threads:
 ///
-/// 1. **plan** (serial, cheap) — walk the scopes and scope pairs in
-///    canonical order, deduplicating cache keys into an ordered job
-///    list and recording which job feeds each scope / scope pair (the
-///    first occurrence of a key is the cache miss, later ones the
-///    hits — identical counters to a serial fill);
+/// 1. **plan** (serial, O(S + near scope pairs) for S scopes) — group
+///    elements into scopes through a per-path memo, enumerate the near
+///    scope pairs through a grid over the scope bboxes
+///    ([`near_scope_pairs`]; oversized scopes such as the chip-wide
+///    loose scope stay out of the grid and are tested directly), and
+///    deduplicate cache keys into an ordered job list recording which
+///    job feeds each scope / scope pair (the first occurrence of a key
+///    is the cache miss, later ones the hits — identical counters to a
+///    serial fill; every fill of the symbol-less loose scope is a
+///    miss);
 /// 2. **fill** — run the distinct geometric searches across the worker
 ///    pool ([`run_ordered`]); each is a pure function of its scope's
-///    element sets, so parallel fills return exactly the serial values;
+///    element sets, so parallel fills return exactly the serial values.
+///    The loose scope's element index is built once and shared by its
+///    intra fill and every `(scope, loose)` cross fill;
 /// 3. **assemble** (serial, cheap) — emit the canonical pair list from
 ///    the filled caches.
 fn hierarchical_plan_fill(
@@ -603,45 +614,43 @@ fn hierarchical_plan_fill(
 ) -> HierPlan {
     // Group elements by top-level scope, in walk order (deterministic:
     // walk order is identical for every instance of the same symbol).
+    // The loose top-level elements form the last scope.
     let mut scopes: Vec<Scope> = Vec::new();
-    let mut loose: Vec<usize> = Vec::new();
-    let mut call_idx = 0usize;
-    let mut path_to_scope: HashMap<String, usize> = HashMap::new();
+    let mut path_to_scope: HashMap<&str, usize> = HashMap::new();
     for item in layout.top_items() {
         if let Item::Call(c) = item {
+            path_to_scope.insert(c.name.as_str(), scopes.len());
             scopes.push(Scope {
                 symbol: Some(c.target),
                 transform: c.transform,
                 element_ids: Vec::new(),
                 bbox: None,
             });
-            path_to_scope.insert(c.name.clone(), call_idx);
-            call_idx += 1;
         }
     }
-    for e in view.elements.iter() {
-        let top = view.str(e.path()).split('.').next().unwrap_or("");
-        if top.is_empty() {
-            loose.push(e.id());
-        } else if let Some(&s) = path_to_scope.get(top) {
-            scopes[s].element_ids.push(e.id());
-        } else {
-            loose.push(e.id());
-        }
-    }
+    let loose = scopes.len();
     scopes.push(Scope {
         symbol: None,
         transform: Transform::IDENTITY,
-        element_ids: loose,
+        element_ids: Vec::new(),
         bbox: None,
     });
+    // One scope resolution per distinct interned path, not per element.
+    let mut scope_of_path: HashMap<Istr, usize> = HashMap::new();
+    for (id, &path) in view.elements.paths().iter().enumerate() {
+        let s = *scope_of_path.entry(path).or_insert_with(|| {
+            let top = view.str(path).split('.').next().unwrap_or("");
+            path_to_scope.get(top).copied().unwrap_or(loose)
+        });
+        scopes[s].element_ids.push(id);
+    }
+    let bboxes = view.elements.bboxes();
     for s in &mut scopes {
-        let mut bb: Option<Rect> = None;
-        for &id in &s.element_ids {
-            let b = view.elements.bboxes()[id];
-            bb = Some(bb.map_or(b, |acc| acc.bounding_union(&b)));
-        }
-        s.bbox = bb;
+        s.bbox = s
+            .element_ids
+            .iter()
+            .map(|&id| bboxes[id])
+            .reduce(|acc, b| acc.bounding_union(&b));
     }
 
     // Step 1 — plan. Cache keys express "same geometry up to rigid
@@ -672,71 +681,68 @@ fn hierarchical_plan_fill(
                 }
             }
             None => {
+                stats.cache_misses += 1;
                 intra_source.push(jobs.len());
                 jobs.push(FillJob::Intra(si));
             }
         }
     }
 
-    // Inter-scope plan: upper-triangular walk over scope pairs whose
-    // inflated bboxes touch.
+    // Inter-scope plan: the near scope pairs, upper-triangular order.
+    let scope_bboxes: Vec<Option<Rect>> = scopes.iter().map(|s| s.bbox).collect();
     let mut inter_key_to_job: HashMap<(SymbolId, SymbolId, Transform), usize> = HashMap::new();
     let mut inter_source: Vec<(usize, usize, usize)> = Vec::new(); // (si, sj, job)
-    for si in 0..scopes.len() {
-        for sj in (si + 1)..scopes.len() {
-            let (sa, sb) = (&scopes[si], &scopes[sj]);
-            let (Some(ba), Some(bb)) = (sa.bbox, sb.bbox) else {
-                continue;
-            };
-            // invariant: non-negative range, as above.
-            let near = ba
-                .inflate(max_range)
-                .expect("inflate cannot fail")
-                .touches(&bb);
-            if !near {
-                continue;
-            }
-            match (sa.symbol, sb.symbol) {
-                (Some(x), Some(y)) => {
-                    let rel = sa.transform.inverse().after(&sb.transform);
-                    let key = (x, y, rel);
-                    if let Some(&job) = inter_key_to_job.get(&key) {
-                        stats.cache_hits += 1;
-                        inter_source.push((si, sj, job));
-                    } else {
-                        stats.cache_misses += 1;
-                        inter_key_to_job.insert(key, jobs.len());
-                        inter_source.push((si, sj, jobs.len()));
-                        jobs.push(FillJob::Cross(si, sj));
-                    }
-                }
-                _ => {
+    for (si, sj) in near_scope_pairs(&scope_bboxes, max_range, cell) {
+        let (sa, sb) = (&scopes[si], &scopes[sj]);
+        match (sa.symbol, sb.symbol) {
+            (Some(x), Some(y)) => {
+                let rel = sa.transform.inverse().after(&sb.transform);
+                let key = (x, y, rel);
+                if let Some(&job) = inter_key_to_job.get(&key) {
+                    stats.cache_hits += 1;
+                    inter_source.push((si, sj, job));
+                } else {
+                    stats.cache_misses += 1;
+                    inter_key_to_job.insert(key, jobs.len());
                     inter_source.push((si, sj, jobs.len()));
                     jobs.push(FillJob::Cross(si, sj));
                 }
+            }
+            _ => {
+                stats.cache_misses += 1;
+                inter_source.push((si, sj, jobs.len()));
+                jobs.push(FillJob::Cross(si, sj));
             }
         }
     }
 
     // Step 2 — fill every distinct cache entry (and each uncached scope
-    // search) across the worker pool. In library mode each *symbol*
-    // job additionally consults the batch's content-keyed cache: the
-    // key hashes exactly what the fill is a pure function of (the
-    // scopes' normalized bbox sequences + the bound-tech revision), so
-    // a hit returns the bytes a local fill would have produced.
-    // Symbol-less (loose top-level) scopes never touch the shared
-    // cache — their geometry is cell-specific, and caching it would
-    // grow the cache with rows no sibling can hit.
+    // search) across the worker pool. The loose scope is the last one,
+    // so it only ever appears as `Intra(loose)` or `Cross(_, loose)`:
+    // its element index is built once here and shared by all of those
+    // jobs. In library mode each *symbol* job additionally consults the
+    // batch's content-keyed cache: the key hashes exactly what the fill
+    // is a pure function of (the scopes' normalized bbox sequences +
+    // the bound-tech revision), so a hit returns the bytes a local fill
+    // would have produced. Symbol-less (loose top-level) scopes never
+    // touch the shared cache — their geometry is cell-specific, and
+    // caching it would grow the cache with rows no sibling can hit.
+    let loose_index = scope_index(view, &scopes[loose].element_ids, cell);
+    let index_of = |si: usize| {
+        if si == loose {
+            Cow::Borrowed(&loose_index)
+        } else {
+            Cow::Owned(scope_index(view, &scopes[si].element_ids, cell))
+        }
+    };
     let filled: Vec<Arc<Vec<(usize, usize)>>> = run_ordered(jobs.len(), workers, |k| {
         let compute = || match jobs[k] {
-            FillJob::Intra(si) => local_candidates(view, &scopes[si].element_ids, max_range, cell),
-            FillJob::Cross(si, sj) => cross_candidates(
-                view,
-                &scopes[si].element_ids,
-                &scopes[sj].element_ids,
-                max_range,
-                cell,
-            ),
+            FillJob::Intra(si) => {
+                local_candidates(view, &scopes[si].element_ids, &index_of(si), max_range)
+            }
+            FillJob::Cross(si, sj) => {
+                cross_candidates(view, &scopes[si].element_ids, &index_of(sj), max_range)
+            }
         };
         let key = shared.and_then(|(_, revision)| match jobs[k] {
             FillJob::Intra(si) => scopes[si]
@@ -763,6 +769,73 @@ fn hierarchical_plan_fill(
         inter_source,
         filled,
     }
+}
+
+/// Scopes whose bbox extent exceeds this many scope-grid cells are kept
+/// out of [`near_scope_pairs`]'s grid and tested directly.
+const OVERSIZED_SCOPE_CELLS: Coord = 4;
+
+/// The near scope pairs `(si, sj)`, `si < sj`: both bboxes present and
+/// `bboxes[si].inflate(max_range).touches(bboxes[sj])`, in
+/// upper-triangular order (ascending `si`, then ascending `sj`).
+///
+/// Scopes go into a grid whose cell is the median scope extent (floored
+/// at `cell`), so a typical scope covers a few cells and a query visits
+/// only its neighbourhood. Scopes wider than
+/// [`OVERSIZED_SCOPE_CELLS`] cells — the loose scope, whose bbox spans
+/// the chip, is the usual one — stay out of the grid: gridding them
+/// would cost O(area) cells, and sizing the cell to them would put every
+/// scope in one cell. They are tested directly against every scope, so
+/// the cost is O(S · (1 + oversized) + near pairs) for S scopes.
+fn near_scope_pairs(bboxes: &[Option<Rect>], max_range: Coord, cell: Coord) -> Vec<(usize, usize)> {
+    let extent = |b: &Rect| (b.x2.saturating_sub(b.x1)).max(b.y2.saturating_sub(b.y1));
+    let mut extents: Vec<Coord> = bboxes.iter().flatten().map(extent).collect();
+    let grid_cell = if extents.is_empty() {
+        cell
+    } else {
+        let mid = extents.len() / 2;
+        cell.max(*extents.select_nth_unstable(mid).1)
+    };
+    let oversized_extent = grid_cell.saturating_mul(OVERSIZED_SCOPE_CELLS);
+    let mut grid: GridIndex<usize> = GridIndex::new(grid_cell);
+    let mut oversized: Vec<usize> = Vec::new();
+    for (si, b) in bboxes.iter().enumerate() {
+        if let Some(b) = b {
+            if extent(b) > oversized_extent {
+                oversized.push(si);
+            } else {
+                grid.insert(*b, si);
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    let mut near: Vec<usize> = Vec::new();
+    for (si, ba) in bboxes.iter().enumerate() {
+        let Some(ba) = ba else { continue };
+        // invariant: max_range >= 0, and a non-negative inflate saturates
+        // instead of failing.
+        let reach = ba.inflate(max_range).expect("inflate cannot fail");
+        let touches = |sj: usize| bboxes[sj].is_some_and(|bb| reach.touches(&bb));
+        near.clear();
+        if extent(ba) > oversized_extent {
+            near.extend((si + 1..bboxes.len()).filter(|&sj| touches(sj)));
+        } else {
+            // Grid hits are already filtered by the same `touches` test
+            // and come back in ascending (insertion = scope) order.
+            let gridded = grid.query(&reach).into_iter().copied();
+            near.extend(gridded.filter(|&sj| sj > si));
+            near.extend(
+                oversized
+                    .iter()
+                    .copied()
+                    .filter(|&sj| sj > si && touches(sj)),
+            );
+            near.sort_unstable();
+        }
+        out.extend(near.iter().map(|&sj| (si, sj)));
+    }
+    out
 }
 
 impl HierPlan {
@@ -833,18 +906,27 @@ fn hierarchical_tiled(
     (out, edges)
 }
 
-/// Candidate close pairs within one element set (sorted local indices).
-fn local_candidates(
-    view: &ChipView,
-    ids: &[usize],
-    max_range: Coord,
-    cell: Coord,
-) -> Vec<(usize, usize)> {
+/// A grid over one element set's bboxes, payload = local index (the
+/// position in `ids`) — the index [`local_candidates`] and
+/// [`cross_candidates`] query.
+fn scope_index(view: &ChipView, ids: &[usize], cell: Coord) -> GridIndex<usize> {
     let bboxes = view.elements.bboxes();
     let mut index: GridIndex<usize> = GridIndex::new(cell);
     for (local, &id) in ids.iter().enumerate() {
         index.insert(bboxes[id], local);
     }
+    index
+}
+
+/// Candidate close pairs within one element set (sorted local indices),
+/// given that set's [`scope_index`].
+fn local_candidates(
+    view: &ChipView,
+    ids: &[usize],
+    index: &GridIndex<usize>,
+    max_range: Coord,
+) -> Vec<(usize, usize)> {
+    let bboxes = view.elements.bboxes();
     let mut out = Vec::new();
     for (li, &id) in ids.iter().enumerate() {
         // invariant: non-negative range, as above.
@@ -862,26 +944,21 @@ fn local_candidates(
 }
 
 /// Candidate close pairs across two element sets (sorted local index
-/// pairs).
+/// pairs), given the [`scope_index`] of set `b`.
 fn cross_candidates(
     view: &ChipView,
     a: &[usize],
-    b: &[usize],
+    b_index: &GridIndex<usize>,
     max_range: Coord,
-    cell: Coord,
 ) -> Vec<(usize, usize)> {
     let bboxes = view.elements.bboxes();
-    let mut index: GridIndex<usize> = GridIndex::new(cell);
-    for (local, &id) in b.iter().enumerate() {
-        index.insert(bboxes[id], local);
-    }
     let mut out = Vec::new();
     for (la, &id) in a.iter().enumerate() {
         // invariant: non-negative range, as above.
         let query = bboxes[id].inflate(max_range).expect("inflate cannot fail");
         // Ascending-query-order results keep `out` lexicographically
         // sorted without an explicit sort.
-        for &lb in index.query(&query) {
+        for &lb in b_index.query(&query) {
             out.push((la, lb));
         }
     }
@@ -1956,5 +2033,121 @@ mod tests {
             assert_eq!(serial.0, parallel.0, "workers={workers}");
             assert_eq!(serial.1, parallel.1, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn loose_scope_fills_count_as_misses() {
+        // Five instances in a row (only neighbours are near) plus one
+        // loose box next to the first instance only.
+        let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; DF;\n");
+        for i in 0..5 {
+            cif.push_str(&format!("C 1 T {} 0;\n", i * 2500));
+        }
+        cif.push_str("L NM; B 750 750 -1000 375;\nE");
+        let (_, stats) = run_with(
+            &cif,
+            InteractOptions {
+                hierarchical: true,
+                ..Default::default()
+            },
+        );
+        // Intra: 1 symbol miss + 4 hits, 1 loose miss. Cross: 1 symbol
+        // pair miss + 3 hits, 1 (instance 0, loose) miss.
+        assert_eq!((stats.cache_hits, stats.cache_misses), (7, 4), "{stats:?}");
+    }
+
+    /// The O(S²) reference [`near_scope_pairs`] must reproduce.
+    fn near_scope_pairs_brute(bboxes: &[Option<Rect>], max_range: Coord) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for si in 0..bboxes.len() {
+            for sj in (si + 1)..bboxes.len() {
+                if let (Some(a), Some(b)) = (bboxes[si], bboxes[sj]) {
+                    if a.inflate(max_range).unwrap().touches(&b) {
+                        out.push((si, sj));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn near_scope_pairs_match_the_brute_force_reference() {
+        let r = |x1, y1, x2, y2| Some(Rect::new(x1, y1, x2, y2));
+        let (range, cell) = (100, 400);
+        // A 10×4 array of 300-wide scopes at pitch 400 (gap 100 =
+        // exactly `range`), one row shifted a further unit apart.
+        let mut array: Vec<Option<Rect>> = Vec::new();
+        for y in 0..4 {
+            for x in 0..10 {
+                let dy = if y == 3 { 1 } else { 0 };
+                array.push(r(x * 400, y * 400 + dy, x * 400 + 300, y * 400 + 300 + dy));
+            }
+        }
+        let mut with_empties = array.clone();
+        for k in [0, 7, 19, 40] {
+            with_empties.insert(k, None);
+        }
+        let mut wide_first = vec![r(-50, 1_000, 4_000, 1_150)];
+        wide_first.extend(array.iter().copied());
+        let mut with_loose = array.clone();
+        with_loose.push(r(-10_000, -10_000, 10_000, 10_000));
+        let mut random = Vec::new();
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |m: i64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % m as u64) as i64
+        };
+        for _ in 0..300 {
+            let (x, y) = (next(20_000), next(20_000));
+            let (w, h) = if next(20) == 0 {
+                (next(15_000), next(300))
+            } else {
+                (next(600), next(600))
+            };
+            random.push(if next(15) == 0 {
+                None
+            } else {
+                r(x, y, x + w, y + h)
+            });
+        }
+        let cases: Vec<(&str, Vec<Option<Rect>>)> = vec![
+            ("no scopes", vec![]),
+            ("no calls, loose only", vec![r(0, 0, 50, 50)]),
+            ("no calls, no loose", vec![None]),
+            ("no loose elements", {
+                let mut v = array.clone();
+                v.push(None);
+                v
+            }),
+            ("empty scopes", with_empties),
+            ("one wide scope first", wide_first),
+            ("chip-wide loose scope", with_loose),
+            (
+                "exactly range apart",
+                vec![r(0, 0, 10, 10), r(110, 0, 120, 10)],
+            ),
+            (
+                "one unit further",
+                vec![r(0, 0, 10, 10), r(111, 0, 121, 10)],
+            ),
+            (
+                "corner exactly range",
+                vec![r(0, 0, 10, 10), r(110, 110, 120, 120)],
+            ),
+            ("random mix", random),
+        ];
+        for (name, bboxes) in cases {
+            let want = near_scope_pairs_brute(&bboxes, range);
+            assert_eq!(near_scope_pairs(&bboxes, range, cell), want, "{name}");
+        }
+        // Spot-check that the boundary cases really sit on the boundary.
+        assert_eq!(
+            near_scope_pairs(&[r(0, 0, 10, 10), r(110, 0, 120, 10)], range, cell).len(),
+            1
+        );
+        assert!(near_scope_pairs(&[r(0, 0, 10, 10), r(111, 0, 121, 10)], range, cell).is_empty());
     }
 }

@@ -164,13 +164,15 @@ impl Rect {
 
     /// Expands (positive `d`) or shrinks (negative `d`) every side by `d`.
     ///
-    /// Shrinking below zero extent returns `None`.
+    /// Shrinking below zero extent returns `None`. Sides saturate at the
+    /// coordinate range instead of overflowing, so a non-negative `d`
+    /// always returns `Some`.
     pub fn inflate(&self, d: Coord) -> Option<Rect> {
         let r = Rect {
-            x1: self.x1 - d,
-            y1: self.y1 - d,
-            x2: self.x2 + d,
-            y2: self.y2 + d,
+            x1: self.x1.saturating_sub(d),
+            y1: self.y1.saturating_sub(d),
+            x2: self.x2.saturating_add(d),
+            y2: self.y2.saturating_add(d),
         };
         if r.x1 <= r.x2 && r.y1 <= r.y2 {
             Some(r)
@@ -287,6 +289,17 @@ mod tests {
         assert_eq!(r.inflate(5), Some(Rect::new(-5, -5, 15, 15)));
         assert_eq!(r.inflate(-5), Some(Rect::new(5, 5, 5, 5)));
         assert_eq!(r.inflate(-6), None);
+    }
+
+    #[test]
+    fn inflate_saturates_at_the_coordinate_range() {
+        let r = Rect::new(Coord::MAX - 10, Coord::MIN + 10, Coord::MAX - 5, 0);
+        assert_eq!(
+            r.inflate(100),
+            Some(Rect::new(Coord::MAX - 110, Coord::MIN, Coord::MAX, 100))
+        );
+        let whole = Rect::new(Coord::MIN, Coord::MIN, Coord::MAX, Coord::MAX);
+        assert_eq!(whole.inflate(Coord::MAX), Some(whole));
     }
 
     #[test]

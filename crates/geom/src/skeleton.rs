@@ -154,7 +154,9 @@ impl Skeleton {
 }
 
 fn scale_inflate(r: &Rect) -> Rect {
-    Rect::new(2 * r.x1 - 1, 2 * r.y1 - 1, 2 * r.x2 + 1, 2 * r.y2 + 1)
+    let lo = |c: Coord| c.saturating_mul(2).saturating_sub(1);
+    let hi = |c: Coord| c.saturating_mul(2).saturating_add(1);
+    Rect::new(lo(r.x1), lo(r.y1), hi(r.x2), hi(r.y2))
 }
 
 #[cfg(test)]

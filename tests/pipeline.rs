@@ -230,6 +230,50 @@ fn hierarchical_and_flat_search_agree_on_generated_chips() {
     assert!(hier.interact_stats.cache_hits > 0);
 }
 
+/// Hierarchical ≡ flat on a chip whose loose top-level elements (the
+/// injected error stubs) are spread across the whole array, so the
+/// loose scope spans the chip and is near most instances: the
+/// near-scope enumeration must keep it out of the scope grid and still
+/// pair it with every instance it reaches.
+#[test]
+fn hierarchical_equals_flat_with_loose_stubs_across_the_array() {
+    let tech = nmos_technology();
+    let chip = generate(&ChipSpec::with_errors(
+        8,
+        6,
+        ErrorKind::ALL
+            .iter()
+            .chain(ErrorKind::ALL.iter())
+            .copied()
+            .collect(),
+        9001,
+    ));
+    let run = |hierarchical, parallelism| {
+        let mut r = check_cif(
+            &chip.cif,
+            &tech,
+            &CheckOptions {
+                hierarchical,
+                parallelism,
+                ..CheckOptions::default()
+            },
+        )
+        .unwrap();
+        diic::core::report::canonical_sort(&mut r.violations);
+        r
+    };
+    let flat = run(false, 1);
+    assert!(!flat.violations.is_empty());
+    for workers in [1, 2] {
+        let hier = run(true, workers);
+        assert_eq!(hier.violations, flat.violations, "workers={workers}");
+        assert_eq!(
+            hier.interact_stats.candidate_pairs, flat.interact_stats.candidate_pairs,
+            "workers={workers}"
+        );
+    }
+}
+
 #[test]
 fn extraction_matches_intended_structure_for_sizes() {
     let tech = nmos_technology();
