@@ -614,11 +614,17 @@ fn hierarchical_plan_fill(
 ) -> HierPlan {
     // Group elements by top-level scope, in walk order (deterministic:
     // walk order is identical for every instance of the same symbol).
-    // The loose top-level elements form the last scope.
+    // The loose top-level elements form the last scope. A call keys its
+    // own scope only when its name alone tells its elements apart
+    // ([`scope_keys`]); the elements of any other call are loose.
     let mut scopes: Vec<Scope> = Vec::new();
     let mut path_to_scope: HashMap<&str, usize> = HashMap::new();
+    let keys = scope_keys(layout);
     for item in layout.top_items() {
         if let Item::Call(c) = item {
+            if !keys.contains(c.name.as_str()) {
+                continue;
+            }
             path_to_scope.insert(c.name.as_str(), scopes.len());
             scopes.push(Scope {
                 symbol: Some(c.target),
@@ -774,6 +780,70 @@ fn hierarchical_plan_fill(
 /// Scopes whose bbox extent exceeds this many scope-grid cells are kept
 /// out of [`near_scope_pairs`]'s grid and tested directly.
 const OVERSIZED_SCOPE_CELLS: Coord = 4;
+
+/// The top-level call names that can key a hierarchical scope. An
+/// element's scope is read from the first `.`-separated segment of its
+/// instance path, so a call keys a scope only if that segment belongs
+/// to it alone: its name is non-empty, has no `.`, and no other call
+/// yields the same first segment. A call named `""` yields the first
+/// segments of its symbol's own paths — `""` for its elements, which
+/// is also the loose elements' path, and its child calls' names (see
+/// [`empty_call_segments`]). The elements of a call left out here join
+/// the loose scope, which is searched geometrically and never cached.
+fn scope_keys(layout: &Layout) -> HashSet<&str> {
+    let mut claims: HashMap<&str, usize> = HashMap::new();
+    let mut empty_segments = HashSet::new();
+    let mut seen = HashSet::new();
+    for item in layout.top_items() {
+        if let Item::Call(c) = item {
+            if c.name.is_empty() {
+                empty_call_segments(layout, c.target, &mut empty_segments, &mut seen);
+            } else {
+                let top = c.name.split('.').next().unwrap_or("");
+                *claims.entry(top).or_default() += 1;
+            }
+        }
+    }
+    for top in empty_segments {
+        *claims.entry(top).or_default() += 1;
+    }
+    layout
+        .top_items()
+        .iter()
+        .filter_map(|item| match item {
+            Item::Call(c) if !c.name.is_empty() && !c.name.contains('.') => Some(c.name.as_str()),
+            _ => None,
+        })
+        .filter(|name| claims[name] == 1)
+        .collect()
+}
+
+/// Adds to `out` the first path segments of the elements under an
+/// instance of `sym` that is named `""`: `""` for its own elements,
+/// each named child call's first segment, and, through children that
+/// are themselves named `""`, their segments in turn. `seen` visits
+/// each symbol once.
+fn empty_call_segments<'a>(
+    layout: &'a Layout,
+    sym: SymbolId,
+    out: &mut HashSet<&'a str>,
+    seen: &mut HashSet<SymbolId>,
+) {
+    if !seen.insert(sym) {
+        return;
+    }
+    for item in &layout.symbol(sym).items {
+        match item {
+            Item::Element(_) => {
+                out.insert("");
+            }
+            Item::Call(c) if c.name.is_empty() => empty_call_segments(layout, c.target, out, seen),
+            Item::Call(c) => {
+                out.insert(c.name.split('.').next().unwrap_or(""));
+            }
+        }
+    }
+}
 
 /// The near scope pairs `(si, sj)`, `si < sj`: both bboxes present and
 /// `bboxes[si].inflate(max_range).touches(bboxes[sj])`, in
@@ -1527,7 +1597,13 @@ mod tests {
         cif: &str,
         tech: &diic_tech::Technology,
     ) -> (ChipView, crate::netgen::NetgenResult, diic_cif::Layout) {
-        let layout = parse(cif).unwrap();
+        build_layout(parse(cif).unwrap(), tech)
+    }
+
+    fn build_layout(
+        layout: diic_cif::Layout,
+        tech: &diic_tech::Technology,
+    ) -> (ChipView, crate::netgen::NetgenResult, diic_cif::Layout) {
         let (binding, _) = LayerBinding::bind(&layout, tech);
         let mut view = instantiate(&layout, tech, &binding);
         let conn = check_connections(&view, tech);
@@ -2054,6 +2130,60 @@ mod tests {
         // Intra: 1 symbol miss + 4 hits, 1 loose miss. Cross: 1 symbol
         // pair miss + 3 hits, 1 (instance 0, loose) miss.
         assert_eq!((stats.cache_hits, stats.cache_misses), (7, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn ambiguous_call_names_fall_back_to_the_loose_scope() {
+        // A scope is read off the first segment of an element's path.
+        // Each case below makes that segment ambiguous: a call named ""
+        // shares the loose elements' path "" (and, over a symbol with a
+        // child call, that child's name), a duplicated or dotted name
+        // shares another call's segment. If such a call still keyed a
+        // scope, an empty or merged scope could own a symbol's cache row
+        // and drop or misplace violations. Hierarchical must equal flat.
+        // Symbol 2 wraps symbol 1 in a child call named i0.
+        let mut cif = String::from(
+            "DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 1625; DF;\nDS 2; C 1; DF;\n",
+        );
+        for i in 0..5 {
+            let sym = if i == 3 { 2 } else { 1 };
+            cif.push_str(&format!("C {sym} T {} 0;\n", i * 2300));
+        }
+        // Loose boxes 500 from instances 0 and 2: spacing violations.
+        cif.push_str("L NM; B 750 750 -875 375; B 750 750 5225 3125;\nE");
+        let tech = nmos_technology();
+        let cases: [(&str, &[(usize, &str)]); 5] = [
+            ("first call named \"\"", &[(0, "")]),
+            ("middle call named \"\"", &[(2, "")]),
+            ("\"\" over a child named i0", &[(3, "")]),
+            ("duplicate name", &[(2, "i1")]),
+            ("dotted name", &[(2, "i1.x")]),
+        ];
+        for (case, renames) in cases {
+            let mut layout = parse(&cif).unwrap();
+            for &(index, name) in renames {
+                match layout.top_item_mut(index) {
+                    Item::Call(c) => c.name = name.to_string(),
+                    other => panic!("expected a call, got {other:?}"),
+                }
+            }
+            let (view, nets, layout) = build_layout(layout, &tech);
+            let run = |hierarchical, parallelism| {
+                let options = InteractOptions {
+                    hierarchical,
+                    parallelism,
+                    ..Default::default()
+                };
+                let (mut v, stats) = check_interactions(&view, &tech, &nets, &layout, &options);
+                crate::report::canonical_sort(&mut v);
+                (v, stats.candidate_pairs)
+            };
+            let flat = run(false, 1);
+            assert!(!flat.0.is_empty(), "{case}");
+            for workers in [1, 2] {
+                assert_eq!(run(true, workers), flat, "{case}, workers={workers}");
+            }
+        }
     }
 
     /// The O(S²) reference [`near_scope_pairs`] must reproduce.
