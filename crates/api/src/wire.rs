@@ -316,12 +316,12 @@ fn edit_from_json(v: &Value, layout: &Layout) -> Result<Edit, ApiError> {
         "add_element" => Ok(Edit::AddElement {
             cif_layer: as_str(required(v, "layer")?, "layer")?.to_string(),
             shape: shape_from_json(required(v, "shape")?)?,
-            net: optional_string(v, "net")?,
+            net: optional_name(v, "net")?,
         }),
         "add_call" => Ok(Edit::AddCall {
             symbol: symbol_from_json(required(v, "symbol")?, layout)?,
             transform: transform_from_json(required(v, "transform")?)?,
-            name: as_str(required(v, "name")?, "name")?.to_string(),
+            name: name(required(v, "name")?, "name")?,
         }),
         "remove" => Ok(Edit::RemoveItem {
             index: as_usize(required(v, "index")?, "index")?,
@@ -351,10 +351,22 @@ fn edit_from_json(v: &Value, layout: &Layout) -> Result<Edit, ApiError> {
     }
 }
 
-fn optional_string(v: &Value, key: &str) -> Result<Option<String>, ApiError> {
+/// A net or instance name: a string outside the `#` prefix the checker
+/// reserves for its own net keys ([`diic_cif::is_reserved_name`]).
+fn name(v: &Value, key: &str) -> Result<String, ApiError> {
+    let s = as_str(v, key)?;
+    if diic_cif::is_reserved_name(s) {
+        return Err(ApiError::bad_request_shape(format!(
+            "`{key}` {s:?} starts with '#', which is reserved for the checker's own net keys"
+        )));
+    }
+    Ok(s.to_string())
+}
+
+fn optional_name(v: &Value, key: &str) -> Result<Option<String>, ApiError> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(s) => Ok(Some(as_str(s, key)?.to_string())),
+        Some(s) => Ok(Some(name(s, key)?)),
     }
 }
 
@@ -394,13 +406,13 @@ fn item_from_json(v: &Value, layout: &Layout) -> Result<Item, ApiError> {
             Ok(Item::Element(Element {
                 layer,
                 shape: shape_from_json(required(body, "shape")?)?,
-                net: optional_string(body, "net")?,
+                net: optional_name(body, "net")?,
             }))
         }
         "call" => Ok(Item::Call(Call {
             target: symbol_from_json(required(body, "symbol")?, layout)?,
             transform: transform_from_json(required(body, "transform")?)?,
-            name: as_str(required(body, "name")?, "call.name")?.to_string(),
+            name: name(required(body, "name")?, "call.name")?,
         })),
         other => Err(ApiError::bad_request_shape(format!(
             "unknown item tag `{other}`"

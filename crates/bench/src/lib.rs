@@ -1288,9 +1288,10 @@ pub fn e18_memory(scale: Scale) -> String {
         );
 
         // The interned-view delta: what the ChipView's string floor
-        // costs with one interner entry per distinct string + a u32
-        // handle per reference, against what the same strings cost as
-        // the per-element `String` copies the view used to hold.
+        // costs — one interner entry per distinct string, one
+        // fixed-width record per auto net key, and a u32 handle per
+        // reference — against what the same strings cost as the
+        // per-element `String` copies the view used to hold.
         let (binding, _) = diic_core::LayerBinding::bind(&layout, &tech);
         // instantiate_parallel takes a literal worker count (no 0 =
         // auto resolution — that is CheckOptions' convention).
@@ -1301,11 +1302,11 @@ pub fn e18_memory(scale: Scale) -> String {
             diic_core::effective_parallelism(0),
         );
         let handle_refs = view.elements.len() * 2 + view.devices.len() * 2;
-        let interned = view.strings.heap_bytes() + handle_refs * 4;
+        let interned = view.strings.heap_bytes() + view.auto_keys.heap_bytes() + handle_refs * 4;
         let copies: usize = view
             .elements
             .iter()
-            .map(|e| view.str(e.path()).len() + view.str(e.net_key()).len() + 2 * 24)
+            .map(|e| view.str(e.path()).len() + view.net_key_str(e.net_key()).len() + 2 * 24)
             .sum::<usize>()
             + view
                 .devices
@@ -1313,10 +1314,11 @@ pub fn e18_memory(scale: Scale) -> String {
                 .map(|d| view.str(d.path).len() + view.str(d.device_type).len() + 2 * 24)
                 .sum::<usize>();
         intern_rows.push(format!(
-            "  view of {:>9} elements: {:>8} distinct strings, {:>6.1} MB interned vs {:>6.1} MB \
-             as owned copies ({:.1}x)",
+            "  view of {:>9} elements: {:>8} distinct strings + {:>8} auto-key records, \
+             {:>6.1} MB interned vs {:>6.1} MB as owned copies ({:.1}x)",
             view.elements.len(),
             view.strings.len(),
+            view.auto_keys.len(),
             interned as f64 / 1e6,
             copies as f64 / 1e6,
             copies as f64 / (interned as f64).max(1.0),
@@ -1362,8 +1364,9 @@ pub fn e18_memory(scale: Scale) -> String {
     let _ = writeln!(
         out,
         "(owned copies = 24-byte String headers + per-element heap duplicates, the\n\
-         pre-interning view floor; interned = one entry per distinct string + 4-byte\n\
-         handles — the delta the tightened mega-smoke RSS ceiling banks on)"
+         pre-interning view floor; interned = one entry per distinct string, one\n\
+         fixed-width record + index slot per auto net key, and 4-byte handles — the\n\
+         delta the tightened mega-smoke RSS ceiling banks on)"
     );
     let _ = writeln!(
         out,

@@ -40,6 +40,9 @@ pub enum CifErrorKind {
     MalformedShape(String),
     /// A `9…` extension command was malformed.
     MalformedExtension(String),
+    /// A `9N` / `9L` net name uses the reserved `#` prefix
+    /// ([`crate::is_reserved_name`]).
+    ReservedNetName(String),
     /// A device declaration (`9D`) outside a symbol definition.
     DeviceOutsideSymbol,
     /// Unclosed comment parenthesis.
@@ -86,6 +89,10 @@ impl fmt::Display for CifErrorKind {
             ),
             MalformedShape(msg) => write!(f, "malformed shape: {msg}"),
             MalformedExtension(msg) => write!(f, "malformed extension: {msg}"),
+            ReservedNetName(name) => write!(
+                f,
+                "net name {name:?} starts with '#', which is reserved for the checker's own keys"
+            ),
             DeviceOutsideSymbol => write!(f, "9D device declaration outside a symbol definition"),
             UnclosedComment => write!(f, "unclosed comment"),
             MissingLayer => write!(f, "L command with no layer name"),

@@ -17,6 +17,15 @@ pub struct SymbolId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LayerRef(pub u16);
 
+/// True if `name` starts with `#`, the prefix reserved for the
+/// checker's own net keys (an undeclared element's auto key renders as
+/// `#path:layer:x1,y1,x2,y2`). A declared net (`9N`), net label (`9L`)
+/// or instance name with this prefix could spell an auto key and merge
+/// two unrelated nets, so the parser and the service reject it.
+pub fn is_reserved_name(name: &str) -> bool {
+    name.starts_with('#')
+}
+
 /// A primitive geometric element with the paper's net-identifier extension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {

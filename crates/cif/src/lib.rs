@@ -13,7 +13,9 @@
 //! * the paper's **extensions**, encoded as CIF user-extension (`9…`)
 //!   commands:
 //!   - `9 <name>;` — symbol name (the historical Caltech convention),
-//!   - `9N <net>;` — net identifier for the **next** primitive element,
+//!   - `9N <net>;` — net identifier for the **next** primitive element
+//!     (names starting with `#` are reserved for the checker's own keys,
+//!     here and in `9L`),
 //!   - `9D <type>;` — declares the enclosing symbol a primitive **device**
 //!     of the given type (transistor, contact, …),
 //!   - `9C;` — marks the enclosing device *checked* (the immunity flag that
@@ -63,7 +65,8 @@ pub mod write;
 pub use error::CifError;
 pub use flatten::{flatten, FlatElement};
 pub use layout::{
-    Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol, SymbolId, Terminal,
+    is_reserved_name, Call, DeviceDecl, Element, Item, LayerRef, Layout, NetLabel, Shape, Symbol,
+    SymbolId, Terminal,
 };
 pub use parse::parse;
 pub use write::to_cif;

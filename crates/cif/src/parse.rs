@@ -393,6 +393,9 @@ impl Parser {
                         "9N requires a net name".into(),
                     )));
                 }
+                if crate::is_reserved_name(rest) {
+                    return Err(self.err(CifErrorKind::ReservedNetName(rest.to_string())));
+                }
                 self.pending_net = Some(rest.to_string());
             }
             'D' => {
@@ -462,6 +465,9 @@ impl Parser {
                         "9L wants: net layer x y".into(),
                     )));
                 };
+                if crate::is_reserved_name(net) {
+                    return Err(self.err(CifErrorKind::ReservedNetName(net.to_string())));
+                }
                 let (x, y) = (parse_int(x, self)?, parse_int(y, self)?);
                 let layer = self.layout.intern_layer(layer);
                 self.layout.push_label(NetLabel {
@@ -706,6 +712,25 @@ mod tests {
         assert_eq!(l.labels().len(), 1);
         assert_eq!(l.labels()[0].net, "VDD");
         assert_eq!(l.labels()[0].position, Point::new(50, 100));
+    }
+
+    #[test]
+    fn reserved_net_names_rejected_with_their_line() {
+        // `#` opens the checker's auto-key space: a declared net spelling
+        // an undeclared box's key would merge the two nets.
+        let err =
+            parse("L NM;\nB 1000 1000 0 0;\n9N #:3:-500,-500,500,500;\nB 1000 1000 1500 0;\nE")
+                .unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(
+            err.kind,
+            CifErrorKind::ReservedNetName("#:3:-500,-500,500,500".into())
+        );
+        let err = parse("L NM; B 1000 1000 0 0;\n\n9L #x NM 0 0; E").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.kind, CifErrorKind::ReservedNetName("#x".into()));
+        // `#` elsewhere in a name is an ordinary character.
+        assert!(parse("L NM; 9N a#b; B 2 2 0 0; 9L c#d NM 0 0; E").is_ok());
     }
 
     #[test]

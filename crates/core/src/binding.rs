@@ -6,27 +6,37 @@
 //! its skeleton. "The information about what symbol the piece of geometry
 //! came from is never lost."
 //!
-//! # The view's memory floor: interned strings, columnar elements
+//! # The view's memory floor: interned strings, auto-key records, columnar elements
 //!
 //! The [`ChipView`] is the pipeline's one intentionally O(chip) artefact
 //! (it *is* the chip), so its per-element cost is the resident-set floor
-//! at million-element scale. Two storage decisions squeeze that floor
+//! at million-element scale. Three storage decisions squeeze that floor
 //! without changing a byte of rendered output:
 //!
-//! * **Interned strings.** The topology strings — instance `path`, net
-//!   key, device type — are massively shared (every element of an
-//!   instance repeats its path; every instance of a symbol repeats its
-//!   device type), so the view stores them once in a [`StringInterner`]
-//!   and elements / [`DeviceInstance`]s carry 4-byte [`Istr`] handles
-//!   instead of owned `String`s. Handles from one view compare equal iff
-//!   the strings are equal; render them with [`ChipView::str`].
+//! * **Interned strings.** The topology strings that are massively
+//!   shared — instance `path`s (every element of an instance repeats
+//!   its path), declared net keys, device types — are stored once in a
+//!   [`StringInterner`]; elements and [`DeviceInstance`]s carry 4-byte
+//!   [`Istr`] handles. Handles from one view compare equal iff the
+//!   strings are equal; render them with [`ChipView::str`]. The walk
+//!   interns an instance's path once per call, not once per element.
+//!
+//! * **Auto-key records.** An undeclared element's net identity is its
+//!   instance path, layer, definition-local bounding box and duplicate
+//!   ordinal — a fixed-width [`AutoKey`] record, hash-consed in the
+//!   view's [`AutoKeys`] table, never a string. Element and net-graph
+//!   node ids span both spaces through one tagged `u32`, the
+//!   [`NetKey`]. The text `#path:layer:x1,y1,x2,y2` (plus `:n` for a
+//!   duplicate's ordinal n > 0) exists only where someone reads it:
+//!   [`ChipView::net_key_str`], and the net list's aliases, which
+//!   [`crate::netgen::NetParts::assemble`] renders once per live key.
 //!
 //! * **Columnar elements.** Elements live in [`ElementColumns`] — a
 //!   struct-of-arrays store with one dense, fixed-width column per
-//!   field (`layer`, `bbox`, `net_key`, `path`, flag bits, sentinel-
-//!   encoded device / source indices) and the variable-length geometry
-//!   (covered rectangles, skeleton rectangles) packed into two shared
-//!   arenas addressed by `(offset, len)` ranges. An element's id is its
+//!   field (`layer`, `bbox`, `net_key`, `path`, sentinel-encoded device
+//!   / source indices) and the variable-length geometry (covered
+//!   rectangles, skeleton rectangles) packed into two shared arenas
+//!   addressed by `(offset, len)` ranges. An element's id is its
 //!   position — the walk, the shard stitch, and the incremental
 //!   session's run splicing all preserve position, so no id column is
 //!   stored at all. Hot stages sweep the dense columns (the
@@ -46,9 +56,10 @@ use diic_geom::skeleton::Skeleton;
 use diic_geom::{Point, Rect, Region, Transform};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `u32`-keyed handle into a [`StringInterner`]: the interned form of
-/// an element's `path` / `net_key` and a [`DeviceInstance`]'s
+/// an element's `path` and declared net key and a [`DeviceInstance`]'s
 /// `path` / `device_type`. Two handles from the **same** interner are
 /// equal iff their strings are equal (the interner deduplicates), so
 /// hot paths compare and hash 4-byte ids instead of strings.
@@ -60,11 +71,27 @@ impl Istr {
     pub fn index(self) -> u32 {
         self.0
     }
+}
 
-    /// Rebuilds a handle from a raw index (crate-internal: the net
-    /// graph stores its node ids as bare `u32`s).
-    pub(crate) fn from_index(index: u32) -> Istr {
-        Istr(index)
+/// The hasher of [`StringInterner`]'s hash → id map: its keys already
+/// are SipHash outputs, so it passes them through instead of hashing
+/// them a second time.
+#[derive(Debug, Clone, Copy, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
@@ -72,8 +99,8 @@ impl Istr {
 /// exactly once and addressed by a stable [`Istr`] handle.
 ///
 /// Lookup is by hash bucket with a full-string compare (no second copy
-/// of the key inside a map), so unique strings — auto net keys are
-/// mostly unique — cost one `Box<str>` plus bucket bookkeeping, while
+/// of the key inside a map), so unique strings cost one `Box<str>` plus
+/// bucket bookkeeping, while
 /// shared strings (instance paths, device types) collapse to one entry
 /// however many elements reference them. Handles are never invalidated:
 /// an edit session keeps one interner alive across applies and stale
@@ -84,7 +111,7 @@ pub struct StringInterner {
     /// String hash → first id with that hash. Full-`u64` collisions are
     /// vanishingly rare, so the common case costs one flat map entry
     /// per distinct string; the rare extra ids live in `overflow`.
-    first: HashMap<u64, u32>,
+    first: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
     /// `(hash, id)` pairs beyond the first per hash — scanned only when
     /// the first id's string mismatches.
     overflow: Vec<(u64, u32)>,
@@ -97,7 +124,7 @@ pub struct StringInterner {
 
 impl StringInterner {
     fn hash_of(s: &str) -> u64 {
-        use std::hash::{Hash, Hasher};
+        use std::hash::Hash;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         s.hash(&mut h);
         h.finish()
@@ -231,6 +258,15 @@ impl StringInterner {
         self.strings.len()
     }
 
+    /// Reserves room for `n` more distinct strings.
+    fn reserve(&mut self, n: usize) {
+        self.strings.reserve(n);
+        self.last_used.reserve(n);
+        if self.strings.len() + n >= Self::LINEAR_LIMIT {
+            self.first.reserve(n);
+        }
+    }
+
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
@@ -310,6 +346,255 @@ impl StringInterner {
     }
 }
 
+/// An element's net identity, and a node of the net graph: either a
+/// declared key interned in the view's [`StringInterner`] or an
+/// undeclared element's record in the view's [`AutoKeys`] table.
+///
+/// One `u32` covers both spaces: the top bit tags an auto key, the low
+/// 31 bits index the space. Net-graph nodes are these raw values
+/// ([`NetKey::node`]), so graph rows stay plain integer pairs, and
+/// every interned node orders before every auto node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NetKey(u32);
+
+impl NetKey {
+    const AUTO: u32 = 1 << 31;
+
+    /// The column value of an undeclared element the walk has recorded
+    /// but [`assign_auto_net_keys`] has not keyed yet.
+    const PENDING: NetKey = NetKey(u32::MAX);
+
+    /// A declared key.
+    pub fn named(s: Istr) -> NetKey {
+        assert!(s.0 < Self::AUTO, "string table exceeds the net-key space");
+        NetKey(s.0)
+    }
+
+    /// An auto key.
+    pub(crate) fn auto(id: u32) -> NetKey {
+        assert!(
+            id < Self::AUTO - 1,
+            "auto-key table exceeds the net-key space"
+        );
+        NetKey(id | Self::AUTO)
+    }
+
+    /// The interned string of a declared key.
+    pub fn as_named(self) -> Option<Istr> {
+        (self.0 & Self::AUTO == 0).then_some(Istr(self.0))
+    }
+
+    /// The [`AutoKeys`] index of an undeclared element's key.
+    pub fn as_auto(self) -> Option<u32> {
+        (self.0 & Self::AUTO != 0).then_some(self.0 & !Self::AUTO)
+    }
+
+    /// The net-graph node id (the raw tagged value).
+    pub fn node(self) -> u32 {
+        self.0
+    }
+
+    /// Rebuilds a key from a net-graph node id.
+    pub fn from_node(node: u32) -> NetKey {
+        NetKey(node)
+    }
+}
+
+/// An undeclared element's net identity: instance path, layer,
+/// definition-local bounding box, and the ordinal that tells exact
+/// duplicates apart (0 for the first in element order).
+///
+/// The identity never depends on the element's position, so adding or
+/// removing an element elsewhere renames nothing, and moving an
+/// instance renames none of its internals (the box is local).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AutoKey {
+    /// Instance path, interned in the owning view.
+    pub path: Istr,
+    /// Technology layer.
+    pub layer: LayerId,
+    /// Duplicate ordinal.
+    pub ordinal: u32,
+    /// Bounding box in the defining symbol's coordinates.
+    pub bbox: Rect,
+}
+
+impl AutoKey {
+    /// FxHash-style mix of the fields (the table indexes by the high
+    /// bits, which this multiply-rotate spreads well).
+    fn mix(&self) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let words = [
+            u64::from(self.path.0) | u64::from(self.layer.0) << 32,
+            u64::from(self.ordinal),
+            self.bbox.x1 as u64,
+            self.bbox.y1 as u64,
+            self.bbox.x2 as u64,
+            self.bbox.y2 as u64,
+        ];
+        words
+            .iter()
+            .fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(K))
+    }
+}
+
+/// The hash-consed table of [`AutoKey`] records behind a view's auto
+/// [`NetKey`]s: each distinct record is stored once, addressed by a
+/// stable index. An edit session keeps the table across applies, so a
+/// re-walked element with an unchanged identity finds its old record —
+/// and its old net-graph node.
+#[derive(Debug, Clone, Default)]
+pub struct AutoKeys {
+    records: Vec<AutoKey>,
+    /// Open-addressing index: a power-of-two slot array of record ids
+    /// (`u32::MAX` = empty), linear probing, at most half full.
+    slots: Vec<u32>,
+    /// Definition-local bboxes of the elements whose column holds
+    /// [`NetKey::PENDING`], in element order — what the walk records
+    /// for [`assign_auto_net_keys`] to key.
+    pending: Vec<Rect>,
+}
+
+impl AutoKeys {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Number of distinct records stored.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True if no record is stored.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The record behind an index.
+    pub fn get(&self, id: u32) -> &AutoKey {
+        &self.records[id as usize]
+    }
+
+    /// Heap bytes of the records and their index.
+    pub fn heap_bytes(&self) -> usize {
+        self.records.len() * std::mem::size_of::<AutoKey>()
+            + self.slots.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The index of `key`'s stored record, adding it on a miss.
+    pub fn intern(&mut self, key: AutoKey) -> u32 {
+        if (self.records.len() + 1) * 2 > self.slots.len() {
+            self.reindex((self.records.len() + 1) * 2);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(&key);
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => {
+                    // invariant: `EMPTY` is never an id.
+                    let id = u32::try_from(self.records.len())
+                        .ok()
+                        .filter(|&id| id != Self::EMPTY)
+                        .expect("auto-key table exceeds u32 ids");
+                    self.records.push(key);
+                    self.slots[slot] = id;
+                    return id;
+                }
+                id if self.records[id as usize] == key => return id,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn home(&self, key: &AutoKey) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.mix() >> (64 - bits)) as usize
+    }
+
+    /// Rebuilds the index with room for `need` slots (rounded up to a
+    /// power of two, at least 16).
+    fn reindex(&mut self, need: usize) {
+        self.slots = vec![Self::EMPTY; need.next_power_of_two().max(16)];
+        let mask = self.slots.len() - 1;
+        for (id, key) in self.records.iter().enumerate() {
+            let mut slot = self.home(key);
+            while self.slots[slot] != Self::EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32;
+        }
+    }
+
+    /// The record's text: `#path:layer:x1,y1,x2,y2`, plus `:n` for
+    /// ordinal n > 0.
+    pub fn render(&self, id: u32, strings: &StringInterner) -> String {
+        let k = self.get(id);
+        // The numeric tail `:layer:x1,y1,x2,y2[:n]`, written backwards
+        // into a stack buffer: six fields of at most 20 characters and
+        // a separator each. Rendering every live key is on the net-list
+        // path, so this skips the formatting machinery.
+        let mut buf = [0u8; 128];
+        let mut at = buf.len();
+        let mut put = |v: i64, sep: u8| {
+            let mut u = v.unsigned_abs();
+            loop {
+                at -= 1;
+                buf[at] = b'0' + (u % 10) as u8;
+                u /= 10;
+                if u == 0 {
+                    break;
+                }
+            }
+            if v < 0 {
+                at -= 1;
+                buf[at] = b'-';
+            }
+            at -= 1;
+            buf[at] = sep;
+        };
+        if k.ordinal > 0 {
+            put(i64::from(k.ordinal), b':');
+        }
+        put(k.bbox.y2, b',');
+        put(k.bbox.x2, b',');
+        put(k.bbox.y1, b',');
+        put(k.bbox.x1, b':');
+        put(i64::from(k.layer.0), b':');
+        // invariant: the tail holds ASCII digits and separators only.
+        let tail = std::str::from_utf8(&buf[at..]).expect("ASCII tail");
+        let path = strings.get(k.path);
+        // Sized exactly: the text lives on as a net-list alias.
+        let mut s = String::with_capacity(1 + path.len() + tail.len());
+        s.push('#');
+        s.push_str(path);
+        s.push_str(tail);
+        s
+    }
+
+    /// Keeps the records `keep` approves, renumbered densely in their
+    /// original order, with their paths remapped through an interner
+    /// compaction map ([`StringInterner::compact`]); returns the old →
+    /// new index map (`None` for evicted records). The caller must keep
+    /// every surviving record's path alive in that compaction.
+    pub fn compact(&mut self, keep: &[bool], paths: &[Option<Istr>]) -> Vec<Option<u32>> {
+        debug_assert!(
+            self.pending.is_empty(),
+            "compaction between walk and keying"
+        );
+        let mut map = vec![None; self.records.len()];
+        let mut kept = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        for (old, mut key) in self.records.drain(..).enumerate() {
+            if keep[old] {
+                // invariant: the caller kept every surviving path.
+                key.path = paths[key.path.index() as usize].expect("live auto-key paths survive");
+                map[old] = Some(kept.len() as u32);
+                kept.push(key);
+            }
+        }
+        self.records = kept;
+        self.reindex(self.records.len() * 2);
+        map
+    }
+}
+
 /// Maps layout layer references to technology layers.
 #[derive(Debug, Clone)]
 pub struct LayerBinding {
@@ -364,12 +649,10 @@ pub struct ChipElement {
     /// Skeleton for connectivity checking (`None` when the element is
     /// under-width — already a width violation).
     pub skeleton: Option<Skeleton>,
-    /// Net key: the declared net qualified by instance path, or a unique
-    /// auto key. Interned in the owning view — render with
-    /// [`ChipView::str`].
-    pub net_key: Istr,
-    /// True if the net was declared via `9N` (vs auto-generated).
-    pub net_declared: bool,
+    /// Net key: the declared net qualified by instance path, or an
+    /// auto key. Resolves in the owning view — render with
+    /// [`ChipView::net_key_str`].
+    pub net_key: NetKey,
     /// Instance path of the enclosing scope, interned in the owning view
     /// (the big sharing win: every element of an instance repeats it).
     pub path: Istr,
@@ -380,27 +663,10 @@ pub struct ChipElement {
     pub source: Option<SymbolId>,
 }
 
-/// A packed bit column (one flag bit per element) — the storage behind
-/// [`ElementColumns`]' boolean fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct BitColumn {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitColumn {
-    fn push(&mut self, v: bool) {
-        let (w, b) = (self.len / 64, self.len % 64);
-        if w == self.words.len() {
-            self.words.push(0);
-        }
-        self.words[w] |= (v as u64) << b;
-        self.len += 1;
-    }
-
-    fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 != 0
+impl ChipElement {
+    /// True if the net was declared via `9N` (vs auto-generated).
+    pub fn net_declared(&self) -> bool {
+        self.net_key.as_named().is_some()
     }
 }
 
@@ -417,9 +683,8 @@ const NONE_U32: u32 = u32::MAX;
 /// ```text
 /// layer        Vec<LayerId>      2 B   dense column
 /// bbox         Vec<Rect>        32 B   dense column (the hot sweep)
-/// net_key      Vec<Istr>         4 B   interner handle
+/// net_key      Vec<NetKey>       4 B   interner handle or auto-key index
 /// path         Vec<Istr>         4 B   interner handle
-/// net_declared BitColumn       1 bit   flag bits
 /// device       Vec<u32>          4 B   u32::MAX = none
 /// source       Vec<u32>          4 B   SymbolId index, u32::MAX = none
 /// rect_range   Vec<(u32, u32)>   8 B   (offset, len) into `rects`
@@ -443,9 +708,8 @@ const NONE_U32: u32 = u32::MAX;
 pub struct ElementColumns {
     layer: Vec<LayerId>,
     bbox: Vec<Rect>,
-    net_key: Vec<Istr>,
+    net_key: Vec<NetKey>,
     path: Vec<Istr>,
-    net_declared: BitColumn,
     device: Vec<u32>,
     source: Vec<u32>,
     rect_range: Vec<(u32, u32)>,
@@ -489,8 +753,8 @@ impl ElementColumns {
         &self.layer
     }
 
-    /// The dense net-key column (interner handles).
-    pub fn net_keys(&self) -> &[Istr] {
+    /// The dense net-key column.
+    pub fn net_keys(&self) -> &[NetKey] {
         &self.net_key
     }
 
@@ -499,14 +763,18 @@ impl ElementColumns {
         &self.path
     }
 
-    /// Remaps the `net_key` / `path` handle columns through an interner
-    /// compaction map ([`StringInterner::compact`]). The caller must
-    /// have built the keep set from these very columns, so every stored
+    /// Remaps the `net_key` / `path` columns through an interner
+    /// compaction map ([`StringInterner::compact`]) and an auto-key
+    /// compaction map ([`AutoKeys::compact`]). The caller must have
+    /// built both keep sets from these very columns, so every stored
     /// handle survives.
-    pub fn remap_strings(&mut self, remap: &[Option<Istr>]) {
-        for h in self.net_key.iter_mut().chain(self.path.iter_mut()) {
+    pub fn remap_keys(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
+        for k in &mut self.net_key {
+            *k = remap_key(*k, strings, autos);
+        }
+        for p in &mut self.path {
             // invariant: column handles are in the compaction keep set.
-            *h = remap[h.index() as usize].expect("live column handles survive compaction");
+            *p = strings[p.index() as usize].expect("live column handles survive compaction");
         }
     }
 
@@ -536,9 +804,8 @@ impl ElementColumns {
         use std::mem::size_of;
         self.layer.len() * size_of::<LayerId>()
             + self.bbox.len() * size_of::<Rect>()
-            + self.net_key.len() * size_of::<Istr>()
+            + self.net_key.len() * size_of::<NetKey>()
             + self.path.len() * size_of::<Istr>()
-            + self.net_declared.words.len() * size_of::<u64>()
             + self.device.len() * size_of::<u32>()
             + self.source.len() * size_of::<u32>()
             + self.rect_range.len() * size_of::<(u32, u32)>()
@@ -556,7 +823,6 @@ impl ElementColumns {
         self.bbox.push(el.bbox);
         self.net_key.push(el.net_key);
         self.path.push(el.path);
-        self.net_declared.push(el.net_declared);
         self.device.push(el.device.map_or(NONE_U32, |d| d as u32));
         self.source.push(el.source.map_or(NONE_U32, |s| s.0));
         let r0 = self.rects.len() as u32;
@@ -589,9 +855,28 @@ impl ElementColumns {
         self.iter().map(|e| e.to_element()).collect()
     }
 
-    /// Rewrites one element's net key (the auto-key ordinal pass).
-    pub(crate) fn set_net_key(&mut self, id: usize, key: Istr) {
-        self.net_key[id] = key;
+    /// Reserves exactly enough room to append `shards` (the stitch sizes
+    /// every column and arena once instead of growing them by
+    /// doubling).
+    fn reserve_for(&mut self, shards: &[ChipView]) {
+        let total = |f: fn(&ElementColumns) -> usize| -> usize {
+            shards.iter().map(|s| f(&s.elements)).sum()
+        };
+        let (n, rects, skel) = (
+            total(ElementColumns::len),
+            total(|c| c.rects.len()),
+            total(|c| c.skel.len()),
+        );
+        self.layer.reserve_exact(n);
+        self.bbox.reserve_exact(n);
+        self.net_key.reserve_exact(n);
+        self.path.reserve_exact(n);
+        self.device.reserve_exact(n);
+        self.source.reserve_exact(n);
+        self.rect_range.reserve_exact(n);
+        self.skel_range.reserve_exact(n);
+        self.rects.reserve_exact(rects);
+        self.skel.reserve_exact(skel);
     }
 
     /// Appends a whole shard's columns, offsetting device indices by
@@ -601,13 +886,12 @@ impl ElementColumns {
     pub(crate) fn append_remapped(&mut self, shard: ElementColumns, d_off: usize, remap: &[Istr]) {
         self.layer.extend_from_slice(&shard.layer);
         self.bbox.extend_from_slice(&shard.bbox);
-        self.net_key
-            .extend(shard.net_key.iter().map(|k| remap[k.0 as usize]));
+        self.net_key.extend(shard.net_key.iter().map(|&k| {
+            k.as_named()
+                .map_or(k, |s| NetKey::named(remap[s.0 as usize]))
+        }));
         self.path
             .extend(shard.path.iter().map(|p| remap[p.0 as usize]));
-        for i in 0..shard.net_declared.len {
-            self.net_declared.push(shard.net_declared.get(i));
-        }
         self.device.extend(shard.device.iter().map(|&d| {
             if d == NONE_U32 {
                 NONE_U32
@@ -642,9 +926,6 @@ impl ElementColumns {
         self.net_key
             .extend_from_slice(&other.net_key[range.clone()]);
         self.path.extend_from_slice(&other.path[range.clone()]);
-        for i in range.clone() {
-            self.net_declared.push(other.net_declared.get(i));
-        }
         self.device
             .extend(other.device[range.clone()].iter().map(|&d| {
                 if d == NONE_U32 {
@@ -719,14 +1000,14 @@ impl<'a> ElementRef<'a> {
         !self.skeleton().is_empty()
     }
 
-    /// Interned net key.
-    pub fn net_key(&self) -> Istr {
+    /// Net key (render with [`ChipView::net_key_str`]).
+    pub fn net_key(&self) -> NetKey {
         self.cols.net_key[self.id]
     }
 
     /// True if the net was declared via `9N` (vs auto-generated).
     pub fn net_declared(&self) -> bool {
-        self.cols.net_declared.get(self.id)
+        self.net_key().as_named().is_some()
     }
 
     /// Interned instance path.
@@ -756,7 +1037,6 @@ impl<'a> ElementRef<'a> {
             bbox: self.bbox(),
             skeleton: Skeleton::from_scaled_rects(self.skeleton().to_vec()),
             net_key: self.net_key(),
-            net_declared: self.net_declared(),
             path: self.path(),
             device: self.device(),
             source: self.source(),
@@ -807,11 +1087,13 @@ pub struct ChipView {
     /// Violations discovered during instantiation (unknown layers on
     /// terminals, non-rectilinear polygons treated as bboxes, …).
     pub violations: Vec<Violation>,
-    /// The interner behind every [`Istr`] in `elements` and `devices`
-    /// — and, once the netgen stage has run, behind the net graph's
-    /// node keys too (one table end to end; see
+    /// The interner behind every [`Istr`] in `elements`, `devices` and
+    /// `auto_keys` — and, once the netgen stage has run, behind the net
+    /// graph's interned node keys too (one table end to end; see
     /// [`crate::netgen::NetParts`]).
     pub strings: StringInterner,
+    /// The records behind every auto [`NetKey`].
+    pub auto_keys: AutoKeys,
 }
 
 impl ChipView {
@@ -820,9 +1102,36 @@ impl ChipView {
         self.strings.get(s)
     }
 
+    /// Renders a net key of this view: a declared key borrows its
+    /// interned string, an auto key formats its record
+    /// ([`AutoKeys::render`]).
+    pub fn net_key_str(&self, k: NetKey) -> std::borrow::Cow<'_, str> {
+        match k.as_named() {
+            Some(s) => self.str(s).into(),
+            // invariant: a key is either named or auto.
+            None => {
+                let id = k.as_auto().expect("unnamed keys are auto");
+                self.auto_keys.render(id, &self.strings).into()
+            }
+        }
+    }
+
     /// Borrowed view of one element (see [`ElementColumns::get`]).
     pub fn element(&self, id: usize) -> ElementRef<'_> {
         self.elements.get(id)
+    }
+}
+
+/// A net key through interner and auto-key compaction maps (both keep
+/// sets must hold the key).
+pub(crate) fn remap_key(k: NetKey, strings: &[Option<Istr>], autos: &[Option<u32>]) -> NetKey {
+    // invariant: callers build the keep sets from every live key.
+    match k.as_named() {
+        Some(s) => NetKey::named(strings[s.index() as usize].expect("live net keys survive")),
+        None => NetKey::auto(
+            autos[k.as_auto().expect("unnamed keys are auto") as usize]
+                .expect("live auto keys survive"),
+        ),
     }
 }
 
@@ -874,7 +1183,7 @@ pub(crate) fn instantiate_parallel_seeded(
     seed: StringInterner,
 ) -> ChipView {
     let (mut view, _) = instantiate_sharded_seeded(layout, tech, binding, workers, seed);
-    assign_auto_net_keys(&mut view.elements, &mut view.strings, None);
+    assign_auto_net_keys(&mut view, None);
     view
 }
 
@@ -904,17 +1213,7 @@ pub(crate) fn instantiate_sharded_seeded(
     let items = layout.top_items();
     let shards: Vec<ChipView> = crate::parallel::run_ordered(items.len(), workers, |k| {
         let mut shard = ChipView::default();
-        walk(
-            layout,
-            tech,
-            binding,
-            &items[k],
-            &Transform::IDENTITY,
-            "",
-            None,
-            None,
-            &mut shard,
-        );
+        instantiate_item(layout, tech, binding, &items[k], &mut shard);
         shard
     });
     let mut view = ChipView {
@@ -922,6 +1221,14 @@ pub(crate) fn instantiate_sharded_seeded(
         ..ChipView::default()
     };
     let mut runs = Vec::with_capacity(shards.len());
+    view.elements.reserve_for(&shards);
+    view.strings
+        .reserve(shards.iter().map(|s| s.strings.len()).sum());
+    view.devices
+        .reserve_exact(shards.iter().map(|s| s.devices.len()).sum());
+    view.auto_keys
+        .pending
+        .reserve_exact(shards.iter().map(|s| s.auto_keys.pending.len()).sum());
     for mut shard in shards {
         let (e_off, d_off) = (view.elements.len(), view.devices.len());
         runs.push((shard.elements.len(), shard.devices.len()));
@@ -931,7 +1238,9 @@ pub(crate) fn instantiate_sharded_seeded(
         // re-allocated — only duplicates already present are dropped)
         // and the handles are remapped. The stitch is sequential in
         // item order, so the merged numbering — like everything else
-        // here — is independent of the worker count.
+        // here — is independent of the worker count. Auto keys are
+        // still pending: their local bboxes concatenate in element
+        // order, unhashed.
         let remap: Vec<Istr> = shard
             .strings
             .take_strings()
@@ -939,6 +1248,7 @@ pub(crate) fn instantiate_sharded_seeded(
             .map(|s| view.strings.intern_owned(s))
             .collect();
         view.elements.append_remapped(shard.elements, d_off, &remap);
+        view.auto_keys.pending.append(&mut shard.auto_keys.pending);
         for mut dv in shard.devices {
             for id in &mut dv.element_ids {
                 *id += e_off;
@@ -952,10 +1262,10 @@ pub(crate) fn instantiate_sharded_seeded(
 }
 
 /// Instantiates a single top-level item, appending its elements and
-/// device instances to `view` (the incremental checker's entry point for
-/// regenerating one dirty item's run). Auto net keys are **not**
-/// assigned here — run [`assign_auto_net_keys`] over the assembled
-/// columns afterwards.
+/// device instances to `view` (a shard job, and the incremental
+/// checker's entry point for regenerating one dirty item's run). Auto
+/// net keys are **not** assigned here — run [`assign_auto_net_keys`]
+/// over the assembled view afterwards.
 pub(crate) fn instantiate_item(
     layout: &Layout,
     tech: &Technology,
@@ -963,240 +1273,263 @@ pub(crate) fn instantiate_item(
     item: &Item,
     view: &mut ChipView,
 ) {
-    walk(
-        layout,
-        tech,
-        binding,
-        item,
-        &Transform::IDENTITY,
-        "",
-        None,
-        None,
-        view,
-    );
-}
-
-/// The ordinal-free base of an auto net key: strips a trailing `:<n>`
-/// duplicate ordinal. Unambiguous because a base's own last `:` segment
-/// is the four comma-joined bbox coordinates — never bare digits.
-fn auto_key_base(key: &str) -> &str {
-    if let Some(pos) = key.rfind(':') {
-        let tail = &key[pos + 1..];
-        if !tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()) {
-            return &key[..pos];
+    let top = Scope {
+        path: "",
+        t: Transform::IDENTITY,
+        device: None,
+        source: None,
+    };
+    match item {
+        Item::Element(e) => {
+            let path = view.strings.intern("");
+            walk_element(tech, binding, e, &top, path, view);
         }
+        Item::Call(c) => walk_call(layout, tech, binding, c, &top, view),
     }
-    key
 }
 
-/// Finalises the auto (undeclared) net keys over the finished element
-/// columns — appending ordinals where exact duplicates share a key base
-/// — and returns the ids whose key changed.
+/// Keys the auto (undeclared) net keys over the finished element
+/// columns and returns the ids of previously keyed elements whose key
+/// changed.
 ///
-/// The key is a pure function of the element's *identity* — instance
-/// path, layer, and definition-local bounding box (the base the walk
-/// stored in `net_key`), with an ordinal disambiguating exact
-/// duplicates — never of its position in the columns. That
-/// stability is what lets an edit session reuse the net graph of
-/// untouched elements: adding or removing an element elsewhere does not
-/// rename every auto net after it (the old scheme's `#e{id}` did), and
-/// moving an instance does not rename its internals at all (local
-/// coordinates).
+/// An undeclared element's key is its [`AutoKey`] identity: instance
+/// path, layer, definition-local bounding box, and an ordinal that
+/// counts earlier exact duplicates in element order. The walk left
+/// [`NetKey::PENDING`] in the column and the local bbox in
+/// `view.auto_keys`; this pass hash-conses each identity into the
+/// view's [`AutoKeys`] table. It never looks at text.
 ///
 /// `changed` (when given) marks the elements whose identity may have
 /// changed since keys were last assigned — only identity groups with a
 /// changed member are re-derived, so an edit session pays for the edit,
-/// not for re-formatting every auto key on the chip. The mask must
-/// cover every element sharing a (chip) bounding box with changed or
-/// removed geometry: duplicate ordinals shift only within one identity
-/// group, and duplicates by definition share path, layer, and bbox.
-pub(crate) fn assign_auto_net_keys(
-    elements: &mut ElementColumns,
-    strings: &mut StringInterner,
-    changed: Option<&[bool]>,
-) -> Vec<usize> {
+/// not for the chip. The mask must cover every pending element and
+/// every element sharing a (chip) bounding box with changed or removed
+/// geometry: duplicate ordinals shift only within one identity group,
+/// and duplicates by definition share path, layer, and bbox.
+pub(crate) fn assign_auto_net_keys(view: &mut ChipView, changed: Option<&[bool]>) -> Vec<usize> {
     use std::collections::HashSet;
+    let ChipView {
+        elements,
+        auto_keys,
+        ..
+    } = view;
+    let pending = std::mem::take(&mut auto_keys.pending);
+    if auto_keys.is_empty() {
+        // A fresh view keys every undeclared element: size the table
+        // once (duplicates aside, one record each).
+        auto_keys.records.reserve_exact(pending.len());
+        auto_keys.reindex(pending.len() * 2);
+    }
     // Pre-filter: the (layer, chip bbox) cells of changed undeclared
     // elements — a superset of the affected identity groups (exact
-    // grouping is by key base below; a spurious match just re-derives
-    // an unchanged key). A column sweep: layer/bbox/flag reads only.
-    let hot: Option<HashSet<(diic_tech::LayerId, Rect)>> = changed.map(|mask| {
-        elements
-            .iter()
-            .filter(|e| !e.net_declared() && mask[e.id()])
-            .map(|e| (e.layer(), e.bbox()))
+    // grouping is by record below; a spurious match just re-derives
+    // an unchanged key). A column sweep: layer/bbox/key reads only.
+    let hot: Option<HashSet<(LayerId, Rect)>> = changed.map(|mask| {
+        (0..elements.len())
+            .filter(|&id| mask[id] && elements.net_key[id].as_auto().is_some())
+            .map(|id| (elements.layer[id], elements.bbox[id]))
             .collect()
     });
     if hot.as_ref().is_some_and(|h| h.is_empty()) {
+        debug_assert!(pending.is_empty(), "pending elements are changed");
         return Vec::new();
     }
-    let mut ordinals: HashMap<String, u32> = HashMap::new();
+    // First occurrence of each ordinal-0 record in this pass; the rare
+    // later duplicates count on in `dups`.
+    let mut seen: Vec<u64> = Vec::new();
+    let mut dups: HashMap<u32, u32> = HashMap::new();
+    let mut pending = pending.into_iter();
     let mut rekeyed = Vec::new();
     for id in 0..elements.len() {
-        let e = elements.get(id);
-        if e.net_declared() {
-            continue;
-        }
-        if let Some(h) = &hot {
-            if !h.contains(&(e.layer(), e.bbox())) {
+        let current = elements.net_key[id];
+        let bbox = if current == NetKey::PENDING {
+            // invariant: the walk records one bbox per pending element.
+            pending.next().expect("a local bbox per pending element")
+        } else {
+            let Some(auto) = current.as_auto() else {
                 continue;
-            }
-        }
-        // Derive the desired key while borrowing the current string,
-        // then intern only when it actually changed — an unchanged key
-        // costs no interner traffic and stays off the rekeyed list.
-        let desired: Option<String> = {
-            let current = strings.get(e.net_key());
-            let base = auto_key_base(current);
-            match ordinals.get_mut(base) {
-                None => {
-                    // Ordinal 0: the base itself is the key.
-                    let want_base = base.len() != current.len();
-                    let base = base.to_string();
-                    let changed_key = want_base.then(|| base.clone());
-                    ordinals.insert(base, 1);
-                    changed_key
-                }
-                Some(n) => {
-                    let key = format!("{base}:{n}");
-                    *n += 1;
-                    (key != current).then_some(key)
+            };
+            if let Some(h) = &hot {
+                if !h.contains(&(elements.layer[id], elements.bbox[id])) {
+                    continue;
                 }
             }
+            auto_keys.get(auto).bbox
         };
-        if let Some(key) = desired {
-            elements.set_net_key(id, strings.intern(&key));
-            rekeyed.push(id);
+        let mut key = AutoKey {
+            path: elements.path[id],
+            layer: elements.layer[id],
+            ordinal: 0,
+            bbox,
+        };
+        let base = auto_keys.intern(key);
+        let (w, bit) = (base as usize / 64, 1u64 << (base % 64));
+        if w >= seen.len() {
+            seen.resize(w + 1, 0);
+        }
+        let auto = if seen[w] & bit == 0 {
+            seen[w] |= bit;
+            base
+        } else {
+            let n = dups.entry(base).or_insert(1);
+            key.ordinal = *n;
+            *n += 1;
+            auto_keys.intern(key)
+        };
+        let key = NetKey::auto(auto);
+        if key != current {
+            if current != NetKey::PENDING {
+                rekeyed.push(id);
+            }
+            elements.net_key[id] = key;
         }
     }
+    debug_assert!(pending.next().is_none(), "every pending element keyed");
     rekeyed
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
+/// `path.name` — a declared or terminal net key — allocated at its
+/// exact length, so moving it into the interner as a `Box<str>` does not
+/// reallocate it.
+pub(crate) fn dotted(path: &str, name: &str) -> String {
+    let mut key = String::with_capacity(path.len() + 1 + name.len());
+    key.push_str(path);
+    key.push('.');
+    key.push_str(name);
+    key
+}
+
+/// Where the walk is: the enclosing instance path, the chip ← local
+/// transform, and the device / symbol the elements belong to.
+struct Scope<'a> {
+    path: &'a str,
+    t: Transform,
+    device: Option<usize>,
+    source: Option<SymbolId>,
+}
+
+/// Instantiates one element in `scope`, whose path is interned as
+/// `path`.
+fn walk_element(
+    tech: &Technology,
+    binding: &LayerBinding,
+    e: &diic_cif::Element,
+    scope: &Scope<'_>,
+    path: Istr,
+    view: &mut ChipView,
+) {
+    let Some(layer) = binding.layer(e.layer) else {
+        return; // unknown layer, already reported
+    };
+    let shape = e.shape.transformed(&scope.t);
+    let rects: Vec<Rect> = match &shape {
+        Shape::Box(r) => vec![*r],
+        Shape::Wire(w) => w.to_rects(),
+        Shape::Polygon(p) => match p.to_rects() {
+            Ok(rs) => rs,
+            Err(_) => vec![p.bbox()], // non-rectilinear: bbox cover
+        },
+    };
+    let bbox = shape.bbox();
+    let half = tech.layer(layer).half_min_width();
+    let skeleton = match &shape {
+        Shape::Box(r) => Skeleton::of_rect(r, half),
+        Shape::Wire(w) => Skeleton::of_wire(w, half),
+        Shape::Polygon(_) => Skeleton::of_region(&Region::from_rects(rects.iter().copied()), half),
+    };
+    let id = view.elements.len();
+    let net_key = match &e.net {
+        Some(n) if scope.path.is_empty() => NetKey::named(view.strings.intern(n)),
+        Some(n) => NetKey::named(view.strings.intern_owned(dotted(scope.path, n).into())),
+        None => {
+            // The identity's box is *local* (definition) coordinates:
+            // stable under instance moves, so dragging a call does not
+            // rename its internal nets. `assign_auto_net_keys` keys it
+            // once the element list is complete.
+            view.auto_keys.pending.push(e.shape.bbox());
+            NetKey::PENDING
+        }
+    };
+    view.elements.push(ChipElement {
+        id,
+        layer,
+        rects,
+        bbox,
+        skeleton,
+        net_key,
+        path,
+        device: scope.device,
+        source: scope.source,
+    });
+    if let Some(d) = scope.device {
+        view.devices[d].element_ids.push(id);
+    }
+}
+
+/// Instantiates a call made from `scope`: its device instance (if the
+/// symbol declares one) and every item of the called symbol.
+fn walk_call(
     layout: &Layout,
     tech: &Technology,
     binding: &LayerBinding,
-    item: &Item,
-    t: &Transform,
-    path: &str,
-    device: Option<usize>,
-    source: Option<SymbolId>,
+    c: &diic_cif::Call,
+    scope: &Scope<'_>,
     view: &mut ChipView,
 ) {
-    match item {
-        Item::Element(e) => {
-            let Some(layer) = binding.layer(e.layer) else {
-                return; // unknown layer, already reported
-            };
-            // Auto-key base in *local* (definition) coordinates: stable
-            // under instance moves, so dragging a call does not rename
-            // its internal nets.
-            let local_bbox = e.shape.bbox();
-            let shape = e.shape.transformed(t);
-            let rects: Vec<Rect> = match &shape {
-                Shape::Box(r) => vec![*r],
-                Shape::Wire(w) => w.to_rects(),
-                Shape::Polygon(p) => match p.to_rects() {
-                    Ok(rs) => rs,
-                    Err(_) => vec![p.bbox()], // non-rectilinear: bbox cover
-                },
-            };
-            let bbox = shape.bbox();
-            let half = tech.layer(layer).half_min_width();
-            let skeleton = match &shape {
-                Shape::Box(r) => Skeleton::of_rect(r, half),
-                Shape::Wire(w) => Skeleton::of_wire(w, half),
-                Shape::Polygon(_) => {
-                    Skeleton::of_region(&Region::from_rects(rects.iter().copied()), half)
-                }
-            };
-            let id = view.elements.len();
-            // Undeclared elements get their key *base* (path, layer and
-            // local bbox — never the element's position in the columns);
-            // `assign_auto_net_keys` appends ordinals where exact
-            // duplicates collide once the element list is complete.
-            let (net_key, net_declared) = match &e.net {
-                Some(n) if path.is_empty() => (n.clone(), true),
-                Some(n) => (format!("{path}.{n}"), true),
-                None => (
-                    format!(
-                        "#{}:{}:{},{},{},{}",
-                        path, layer.0, local_bbox.x1, local_bbox.y1, local_bbox.x2, local_bbox.y2
-                    ),
-                    false,
-                ),
-            };
-            let net_key = view.strings.intern(&net_key);
-            let path = view.strings.intern(path);
-            view.elements.push(ChipElement {
-                id,
-                layer,
-                rects,
-                bbox,
-                skeleton,
-                net_key,
-                net_declared,
+    let sym = layout.symbol(c.target);
+    let child_path = if scope.path.is_empty() {
+        c.name.clone()
+    } else {
+        format!("{}.{}", scope.path, c.name)
+    };
+    let child_t = scope.t.after(&c.transform);
+    // The child path is interned once per call, on first use.
+    let mut path_id: Option<Istr> = None;
+    let child_device = if let Some(decl) = &sym.device {
+        // A nested device inside a device keeps the outermost
+        // instance (the paper's primitive symbols contain only
+        // geometry; nesting is reported by primitive checks).
+        if scope.device.is_some() {
+            scope.device
+        } else {
+            let idx = view.devices.len();
+            let terminals = decl
+                .terminals
+                .iter()
+                .filter_map(|term| {
+                    let layer = binding.layer(term.layer)?;
+                    Some((term.name.clone(), layer, child_t.apply_point(term.position)))
+                })
+                .collect();
+            let path = *path_id.get_or_insert_with(|| view.strings.intern(&child_path));
+            view.devices.push(DeviceInstance {
                 path,
-                device,
-                source,
+                symbol: c.target,
+                device_type: view.strings.intern(&decl.device_type),
+                class: tech.device(&decl.device_type).map(|a| a.class),
+                checked: decl.checked,
+                terminals,
+                element_ids: Vec::new(),
+                transform: child_t,
             });
-            if let Some(d) = device {
-                view.devices[d].element_ids.push(id);
-            }
+            Some(idx)
         }
-        Item::Call(c) => {
-            let sym = layout.symbol(c.target);
-            let child_path = if path.is_empty() {
-                c.name.clone()
-            } else {
-                format!("{path}.{}", c.name)
-            };
-            let child_t = t.after(&c.transform);
-            let child_device = if let Some(decl) = &sym.device {
-                // A nested device inside a device keeps the outermost
-                // instance (the paper's primitive symbols contain only
-                // geometry; nesting is reported by primitive checks).
-                if device.is_some() {
-                    device
-                } else {
-                    let idx = view.devices.len();
-                    let terminals = decl
-                        .terminals
-                        .iter()
-                        .filter_map(|term| {
-                            let layer = binding.layer(term.layer)?;
-                            Some((term.name.clone(), layer, child_t.apply_point(term.position)))
-                        })
-                        .collect();
-                    view.devices.push(DeviceInstance {
-                        path: view.strings.intern(&child_path),
-                        symbol: c.target,
-                        device_type: view.strings.intern(&decl.device_type),
-                        class: tech.device(&decl.device_type).map(|a| a.class),
-                        checked: decl.checked,
-                        terminals,
-                        element_ids: Vec::new(),
-                        transform: child_t,
-                    });
-                    Some(idx)
-                }
-            } else {
-                device
-            };
-            for child in &sym.items {
-                walk(
-                    layout,
-                    tech,
-                    binding,
-                    child,
-                    &child_t,
-                    &child_path,
-                    child_device,
-                    Some(c.target),
-                    view,
-                );
+    } else {
+        scope.device
+    };
+    let child = Scope {
+        path: &child_path,
+        t: child_t,
+        device: child_device,
+        source: Some(c.target),
+    };
+    for item in &sym.items {
+        match item {
+            Item::Element(e) => {
+                let path = *path_id.get_or_insert_with(|| view.strings.intern(&child_path));
+                walk_element(tech, binding, e, &child, path, view);
             }
+            Item::Call(cc) => walk_call(layout, tech, binding, cc, &child, view),
         }
     }
 }
@@ -1228,12 +1561,71 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(view.elements.len(), 2);
         let rail = view.elements.get(0);
-        assert_eq!(view.str(rail.net_key()), "VDD");
+        assert_eq!(view.net_key_str(rail.net_key()), "VDD");
         assert!(rail.net_declared());
         assert!(rail.has_skeleton());
         let tiny = view.elements.get(1);
         assert!(!tiny.net_declared());
         assert!(!tiny.has_skeleton()); // under metal min width 750
+    }
+
+    #[test]
+    fn exact_duplicates_get_ordinal_suffixes() {
+        // Three identical undeclared boxes in one instance share path,
+        // layer and local bbox: the first keeps the bare key, the later
+        // ones count up in element order. A fourth box elsewhere in the
+        // instance and a declared box stay out of the group.
+        let cif = "
+        DS 1; L NM; B 1000 1000 0 0; B 1000 1000 0 0; 9N out; B 1000 1000 0 0;
+        B 1000 1000 0 0; B 1000 750 3000 0; DF;
+        C 1 T 500 500; E";
+        let (view, _) = view_of(cif);
+        let keys: Vec<String> = view
+            .elements
+            .iter()
+            .map(|e| view.net_key_str(e.net_key()).into_owned())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "#i0:3:-500,-500,500,500",
+                "#i0:3:-500,-500,500,500:1",
+                "i0.out",
+                "#i0:3:-500,-500,500,500:2",
+                "#i0:3:2500,-375,3500,375",
+            ]
+        );
+        assert_eq!(view.auto_keys.len(), 4, "one record per undeclared element");
+    }
+
+    #[test]
+    fn render_matches_the_formatted_text_at_the_extremes() {
+        let mut strings = StringInterner::default();
+        let mut keys = AutoKeys::default();
+        let path = strings.intern("i7.i0");
+        for (bbox, ordinal) in [
+            (Rect::new(i64::MIN, -1, 0, i64::MAX), 0),
+            (Rect::new(-500, -500, 500, 500), 1),
+            (Rect::new(0, 0, 0, 0), u32::MAX),
+        ] {
+            let layer = LayerId(u16::MAX);
+            let id = keys.intern(AutoKey {
+                path,
+                layer,
+                ordinal,
+                bbox,
+            });
+            let mut want = format!(
+                "#i7.i0:{}:{},{},{},{}",
+                layer.0, bbox.x1, bbox.y1, bbox.x2, bbox.y2
+            );
+            if ordinal > 0 {
+                want += &format!(":{ordinal}");
+            }
+            let got = keys.render(id, &strings);
+            assert_eq!(got, want);
+            assert_eq!(got.capacity(), got.len(), "sized exactly");
+        }
     }
 
     #[test]
@@ -1267,7 +1659,10 @@ mod tests {
         let (view, _) = view_of(cif);
         assert_eq!(view.elements.len(), 1);
         assert_eq!(view.str(view.elements.get(0).path()), "i0.i0");
-        assert_eq!(view.str(view.elements.get(0).net_key()), "i0.i0.out");
+        assert_eq!(
+            view.net_key_str(view.elements.get(0).net_key()),
+            "i0.i0.out"
+        );
     }
 
     #[test]
@@ -1298,8 +1693,8 @@ mod tests {
                 // rendered strings too (the stitch numbering must also
                 // be worker-count independent).
                 assert_eq!(
-                    serial.str(a.net_key()),
-                    par.str(b.net_key()),
+                    serial.net_key_str(a.net_key()),
+                    par.net_key_str(b.net_key()),
                     "workers={workers}"
                 );
                 assert_eq!(serial.str(a.path()), par.str(b.path()), "workers={workers}");
@@ -1334,7 +1729,7 @@ mod tests {
             assert_eq!(el.bbox, r.bbox());
             assert_eq!(el.rects.as_slice(), r.rects());
             assert_eq!(el.net_key, r.net_key());
-            assert_eq!(el.net_declared, r.net_declared());
+            assert_eq!(el.net_declared(), r.net_declared());
             assert_eq!(el.path, r.path());
             assert_eq!(el.device, r.device());
             assert_eq!(el.source, r.source());

@@ -24,16 +24,18 @@
 //! * **the chip view is patched** — untouched top-level items keep
 //!   their instantiated element/device runs (ids and device indices are
 //!   renumbered in place); only dirty items re-instantiate. Auto net
-//!   keys are stable functions of element identity (path, layer, bbox),
-//!   so reuse does not rename distant nets.
+//!   keys are records of element identity (path, layer, local bbox,
+//!   duplicate ordinal) hash-consed in a table the session keeps, so
+//!   reuse does not rename distant nets and a re-walked element with an
+//!   unchanged identity keeps its node.
 //! * **connections are patched** — a connection verdict is a pure pair
 //!   function, and its anchor (the bbox overlap) touches both elements,
 //!   so pairs among the *seed set* (dirty elements plus everything
 //!   whose bbox touches the dirty core) re-check while every other
 //!   pair's cached verdict and merge survive.
 //! * **the net graph is patched, the net list reassembled** — net keys
-//!   are interned once into stable integer nodes
-//!   ([`crate::netgen::NetParts`]); the edit swaps the dirty rows and
+//!   are stable integer nodes (interned strings or auto-key records,
+//!   [`crate::netgen::NetParts`]); the edit swaps the dirty rows and
 //!   re-folds the graph through the same canonical
 //!   [`diic_netlist::assemble_netlist`] a full build uses. Cost is
 //!   integer union-find plus net construction, not string re-interning.
@@ -90,7 +92,7 @@
 //! ```
 
 use crate::binding::{
-    assign_auto_net_keys, instantiate_item, instantiate_sharded, ChipView, LayerBinding,
+    assign_auto_net_keys, instantiate_item, instantiate_sharded, ChipView, LayerBinding, NetKey,
 };
 use crate::checker::{check, CheckOptions, CheckReport};
 use crate::connect::check_connections_among;
@@ -365,7 +367,7 @@ impl CheckSession {
             .into_iter()
             .map(|(elems, devices)| ItemRun { elems, devices })
             .collect();
-        assign_auto_net_keys(&mut view.elements, &mut view.strings, None);
+        assign_auto_net_keys(&mut view, None);
         let mut instantiate_violations = std::mem::take(&mut view.violations);
         // The patch path cannot regenerate *clean* items' instantiation
         // violations (it never re-walks them), which is sound today only
@@ -423,7 +425,7 @@ impl CheckSession {
             &labels,
             options.effective_parallelism(),
         );
-        let mut nets = parts.assemble(&view);
+        let mut nets = parts.assemble(&view, options.effective_parallelism());
         sink.append(&mut nets.violations);
 
         let interact_options = options.interact_options();
@@ -639,6 +641,7 @@ impl CheckSession {
         // referenced — compaction is not worth a whole-view rewrite per
         // edit, and the rebuild fallback resets the table anyway).
         let strings = std::mem::take(&mut old_view.strings);
+        let auto_keys = std::mem::take(&mut old_view.auto_keys);
         // Survivor element runs copy across as whole column runs (ids
         // renumber implicitly to their new positions); devices still
         // move one record at a time for the back-reference rewrite.
@@ -648,6 +651,7 @@ impl CheckSession {
 
         let mut view = ChipView {
             strings,
+            auto_keys,
             ..ChipView::default()
         };
         let mut tags: Vec<ElemTag> = Vec::with_capacity(old_element_count);
@@ -745,7 +749,7 @@ impl CheckSession {
         // Auto net keys: re-derive only identity groups with a changed
         // member (the seed mask covers removed duplicates — they share
         // their bbox with their survivors by definition).
-        let rekeyed = assign_auto_net_keys(&mut view.elements, &mut view.strings, Some(&seed));
+        let rekeyed = assign_auto_net_keys(&mut view, Some(&seed));
         stats.t_view = t_start.elapsed();
 
         // -- Phase F: patch connections. ------------------------------
@@ -778,19 +782,19 @@ impl CheckSession {
                 element_node[*new] = old_element_node[old];
             }
         }
-        // Nodes are the view interner's raw indices, so patching them is
-        // a handle read — no string ever re-interns here.
+        // Nodes are the view's net keys, so patching them is a column
+        // read — no key is ever re-interned here.
         for &id in &rekeyed {
             // Re-keyed survivors keep their netted-ness; fresh elements
             // are handled below.
             if element_node[id].is_some() {
-                element_node[id] = Some(view.elements.net_keys()[id].index());
+                element_node[id] = Some(view.elements.net_keys()[id].node());
             }
         }
         for id in 0..n_new {
             if dirty_elem[id] {
                 element_node[id] =
-                    element_is_netted(&view, id).then(|| view.elements.net_keys()[id].index());
+                    element_is_netted(&view, id).then(|| view.elements.net_keys()[id].node());
             }
         }
         // Net-neutral fast-path candidate: an edit that provably leaves
@@ -954,7 +958,7 @@ impl CheckSession {
                 violations: Vec::new(),
             }
         } else {
-            self.parts.assemble(&view)
+            self.parts.assemble(&view, 1)
         };
 
         // -- Phase H: net-identity diff extends the dirty core. -------
@@ -1181,7 +1185,8 @@ impl CheckSession {
     }
 
     /// An estimate of the session's resident heap, in bytes: the
-    /// columnar element store, the string table, device instances, the
+    /// columnar element store, the string and auto-key tables, device
+    /// instances, the
     /// persistent net graph, the cached canonical report, and the
     /// spatial-index bookkeeping. Payload bytes, not allocator-exact —
     /// the number a session *pool* budgets and evicts against (and the
@@ -1189,7 +1194,7 @@ impl CheckSession {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
         let elements = self.view.elements.heap_bytes();
-        let strings = self.view.strings.heap_bytes();
+        let strings = self.view.strings.heap_bytes() + self.view.auto_keys.heap_bytes();
         let devices: usize = self
             .view
             .devices
@@ -1231,12 +1236,13 @@ impl CheckSession {
 
     /// Compacts the session's long-lived memory in place: rebuilds the
     /// spatial index without tombstones ([`diic_geom::GridIndex::compact`])
-    /// and evicts interner strings orphaned by edit churn
-    /// ([`crate::binding::StringInterner::compact`] — removed elements
-    /// and replaced definitions leave dead paths and net keys behind),
-    /// remapping every live handle: the element columns, the device
-    /// instances, and the net graph's node indices
-    /// ([`NetParts::remap_strings`]). The session pool fires this on
+    /// and evicts the auto-key records and interner strings orphaned by
+    /// edit churn ([`crate::binding::AutoKeys::compact`],
+    /// [`crate::binding::StringInterner::compact`] — removed elements
+    /// and replaced definitions leave dead identities, paths and net
+    /// keys behind), remapping every live handle: the element columns,
+    /// the device instances, and the net graph's nodes
+    /// ([`NetParts::remap_nodes`]). The session pool fires this on
     /// eviction pressure; rendered reports before and after are
     /// byte-identical (`service_sessions_survive_compaction` in
     /// `tests/api.rs` and [`mod@self`]'s own unit test pin it).
@@ -1244,13 +1250,20 @@ impl CheckSession {
         let index_compacted = self.compact_spatial_index();
         let strings_before = self.view.strings.len();
         let bytes_before = self.view.strings.heap_bytes();
+        let autos_before = self.view.auto_keys.len();
+        let auto_bytes_before = self.view.auto_keys.heap_bytes();
 
-        // The keep set: every handle the view or the net graph still
-        // references. Everything else is churn garbage.
+        // The keep sets: every key the view or the net graph still
+        // references, plus the paths of the surviving auto keys.
+        // Everything else is churn garbage.
         let mut keep = vec![false; strings_before];
-        let mut mark = |index: u32| keep[index as usize] = true;
-        for h in self.view.elements.net_keys() {
-            mark(h.index());
+        let mut keep_auto = vec![false; autos_before];
+        let mut mark = |node: u32| match NetKey::from_node(node).as_auto() {
+            Some(a) => keep_auto[a as usize] = true,
+            None => keep[node as usize] = true,
+        };
+        for k in self.view.elements.net_keys() {
+            mark(k.node());
         }
         for h in self.view.elements.paths() {
             mark(h.index());
@@ -1284,21 +1297,28 @@ impl CheckSession {
                 mark(*b);
             }
         }
+        for (id, _) in keep_auto.iter().enumerate().filter(|(_, &k)| k) {
+            keep[self.view.auto_keys.get(id as u32).path.index() as usize] = true;
+        }
 
         let remap = self.view.strings.compact(|id, _| keep[id.index() as usize]);
-        self.view.elements.remap_strings(&remap);
+        let auto_remap = self.view.auto_keys.compact(&keep_auto, &remap);
+        self.view.elements.remap_keys(&remap, &auto_remap);
         for d in &mut self.view.devices {
             // invariant: device handles were marked above.
             d.path = remap[d.path.index() as usize].expect("device path survives compaction");
             d.device_type =
                 remap[d.device_type.index() as usize].expect("device type survives compaction");
         }
-        self.parts.remap_strings(&remap);
+        self.parts.remap_nodes(&remap, &auto_remap);
 
         SessionCompaction {
             index_compacted,
             strings_evicted: strings_before - self.view.strings.len(),
             string_bytes_freed: bytes_before.saturating_sub(self.view.strings.heap_bytes()),
+            auto_keys_evicted: autos_before - self.view.auto_keys.len(),
+            auto_key_bytes_freed: auto_bytes_before
+                .saturating_sub(self.view.auto_keys.heap_bytes()),
         }
     }
 }
@@ -1312,6 +1332,10 @@ pub struct SessionCompaction {
     pub strings_evicted: usize,
     /// Interner heap bytes freed by the eviction.
     pub string_bytes_freed: usize,
+    /// Auto-key records evicted as unreferenced.
+    pub auto_keys_evicted: usize,
+    /// Auto-key table bytes (records and index) freed by the eviction.
+    pub auto_key_bytes_freed: usize,
 }
 
 /// A from-scratch [`check`] with the violations brought into canonical
@@ -1594,6 +1618,30 @@ mod tests {
     }
 
     #[test]
+    fn moved_instance_keeps_its_auto_key_nodes() {
+        // Auto keys are instance-local records: moving an instance
+        // through free space re-walks it into the same records, so the
+        // patched net graph is bit-identical and the cached net list is
+        // reused.
+        let mut cif = String::from("DS 1; L NM; B 2000 750 1000 375; B 2000 750 1000 3375; DF;\n");
+        for i in 0..6 {
+            cif.push_str(&format!("C 1 T {} 0;\n", i * 10_000));
+        }
+        cif.push('E');
+        let layout = parse(&cif).unwrap();
+        let tech = nmos_technology();
+        let mut session = CheckSession::new(layout, &tech, &options());
+        let records = session.view.auto_keys.len();
+        let mut edits = EditSet::new();
+        edits.translate(5, 0, 20_000);
+        let stats = session.apply(&edits).unwrap();
+        assert!(!stats.full_rebuild, "one instance of six stays incremental");
+        assert!(stats.netlist_reused, "same records, same nodes: {stats:?}");
+        assert_eq!(session.view.auto_keys.len(), records, "no new record");
+        assert_matches_full(&session);
+    }
+
+    #[test]
     fn net_merge_far_from_edit_is_caught() {
         // Two parallel metal wires 500 apart on different nets: one
         // spacing violation. A far-away strap connecting them makes the
@@ -1673,14 +1721,14 @@ mod tests {
 
     #[test]
     fn compact_memory_evicts_churn_garbage_and_stays_exact() {
-        // Add-then-remove churn leaves orphaned net keys and paths in
-        // the interner (each added element at a distinct bbox interns a
-        // fresh auto key). compact_memory must evict them, renumber
-        // every live handle (columns, devices, net-graph nodes), and
-        // leave the rendered report and the edit loop byte-identical.
-        // The base chip is wide enough that one-box churn stays under
-        // the full-rebuild threshold (a rebuild resets the interner and
-        // would hide the garbage this test is about).
+        // Add-then-remove churn leaves orphaned auto-key records behind
+        // (each added element at a distinct bbox keys a fresh record).
+        // compact_memory must evict them, renumber every live handle
+        // (columns, devices, net-graph nodes), and leave the rendered
+        // report and the edit loop byte-identical. The base chip is
+        // wide enough that one-box churn stays under the full-rebuild
+        // threshold (a rebuild resets the tables and would hide the
+        // garbage this test is about).
         let mut cif = String::new();
         for i in 0..40 {
             cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
@@ -1689,6 +1737,7 @@ mod tests {
         let layout = parse(&cif).unwrap();
         let tech = nmos_technology();
         let mut session = CheckSession::new(layout, &tech, &options());
+        let live_autos = session.view.auto_keys.len();
         for step in 0..24i64 {
             let mut add = EditSet::new();
             add.add_box(
@@ -1702,25 +1751,79 @@ mod tests {
             remove.remove(40);
             session.apply(&remove).unwrap();
         }
+        assert_eq!(session.view.auto_keys.len(), live_autos + 24);
+        let rendered =
+            |s: &CheckSession| format!("{:?}", (&s.report().violations, &s.report().netlist));
+        let before_text = rendered(&session);
         let before = session.memory_bytes();
         let compaction = session.compact_memory();
-        assert!(
-            compaction.strings_evicted > 0,
-            "24 add/remove rounds must orphan interned keys: {compaction:?}"
+        assert_eq!(
+            compaction.auto_keys_evicted, 24,
+            "24 add/remove rounds orphan 24 auto keys: {compaction:?}"
         );
-        assert!(compaction.string_bytes_freed > 0);
+        assert!(compaction.auto_key_bytes_freed > 0);
+        assert_eq!(
+            session.view.auto_keys.len(),
+            live_autos,
+            "the table shrinks to the live keys"
+        );
         assert!(session.memory_bytes() < before);
+        assert_eq!(
+            rendered(&session),
+            before_text,
+            "compaction changes no rendered byte"
+        );
         assert_matches_full(&session);
 
-        // The compacted session keeps editing (and re-interning) fine.
+        // The compacted session keeps editing (and re-keying) fine.
         let mut add = EditSet::new();
         add.add_box("NM", Rect::new(0, 1250, 2000, 2000), None);
         session.apply(&add).unwrap();
         assert_eq!(session.report().violations.len(), 1);
         assert_matches_full(&session);
         let again = session.compact_memory();
+        assert_eq!(again.auto_keys_evicted, 0, "nothing orphaned since");
         assert_matches_full(&session);
-        let _ = again;
+    }
+
+    #[test]
+    fn removing_the_first_duplicate_renames_the_survivors() {
+        // Three exact-duplicate undeclared boxes: keys `…`, `…:1`, `…:2`.
+        // Removing the first one shifts the survivors' ordinals down —
+        // the patched report and net list must equal a from-scratch
+        // check of the edited layout.
+        let mut cif = String::new();
+        for _ in 0..3 {
+            cif.push_str("L NM; B 1000 1000 0 0;\n");
+        }
+        for i in 0..20 {
+            cif.push_str(&format!("L NM; B 2000 750 10000 {};\n", 375 + i * 3000));
+        }
+        cif.push('E');
+        let layout = parse(&cif).unwrap();
+        let tech = nmos_technology();
+        let mut session = CheckSession::new(layout, &tech, &options());
+        let keys = |s: &CheckSession| -> Vec<String> {
+            (0..3)
+                .map(|id| {
+                    s.view
+                        .net_key_str(s.view.elements.net_keys()[id])
+                        .into_owned()
+                })
+                .collect()
+        };
+        let base = "#:3:-500,-500,500,500";
+        assert_eq!(
+            keys(&session),
+            [base.to_string(), format!("{base}:1"), format!("{base}:2")]
+        );
+        let mut edits = EditSet::new();
+        edits.remove(0);
+        let stats = session.apply(&edits).unwrap();
+        assert!(!stats.full_rebuild, "one box of 23 stays incremental");
+        assert_eq!(keys(&session)[..2], [base.to_string(), format!("{base}:1")]);
+        // full_check is canonical_check of the edited layout.
+        assert_matches_full(&session);
     }
 
     #[test]

@@ -53,9 +53,11 @@
 //!
 //! Candidate and diagnostic memory is **O(tile), not O(chip)** (the
 //! instantiated [`ChipView`] itself remains O(elements) — it *is* the
-//! chip, with its per-element `path` / `net_key` / device-type strings
-//! stored once behind `u32` handles in a [`StringInterner`] to shrink
-//! that floor): instantiation is sharded per top-level item
+//! chip, with its per-element `path` / declared-net / device-type
+//! strings stored once behind `u32` handles in a [`StringInterner`] and
+//! its auto net keys as fixed-width [`AutoKey`] records, rendered only
+//! in the net list, to shrink that floor): instantiation is sharded per
+//! top-level item
 //! ([`binding::instantiate_parallel`]), the interaction stage streams
 //! candidate pairs tile by tile — one tile buffer per live worker —
 //! instead of materialising the all-pairs list
@@ -133,8 +135,8 @@ pub mod spill;
 pub mod violations;
 
 pub use binding::{
-    instantiate_parallel, ChipElement, ChipView, DeviceInstance, ElementColumns, ElementRef, Istr,
-    LayerBinding, StringInterner,
+    instantiate_parallel, AutoKey, AutoKeys, ChipElement, ChipView, DeviceInstance, ElementColumns,
+    ElementRef, Istr, LayerBinding, NetKey, StringInterner,
 };
 pub use checker::{
     check, check_cif, check_with_engine, check_with_sink, CheckOptions, CheckReport, StageTimings,

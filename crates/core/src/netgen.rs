@@ -7,19 +7,23 @@
 //! rules or to check the net list against an input net list for
 //! consistency."
 //!
-//! # One interner, end to end
+//! # One key space, end to end
 //!
-//! The net graph's node ids **are** the view interner's raw indices
-//! ([`crate::binding::Istr::index`]): an element's node is its `net_key`
-//! handle, and the fresh keys this stage creates — terminal keys
-//! (`i0.G`), joining-device keys (`i0.#`), label nets — are interned
-//! into [`ChipView::strings`]. No key string is ever copied into a
-//! second table, and "same string ⇒ same node" holds across the whole
-//! pipeline, which is what keeps an edit session's cached rows valid.
-//! Node ids therefore depend on interning history (a from-scratch build
-//! and a patched session may number them differently) — which is fine,
-//! because [`assemble_netlist`] canonicalises purely by key *strings*:
-//! net identity, aliases, and ordering never see the raw ids.
+//! The net graph's node ids **are** the view's [`NetKey`]s
+//! ([`NetKey::node`]): an element's node is its `net_key` — an interned
+//! declared key or an auto-key record, told apart by a tag bit — and
+//! the fresh keys this stage creates — terminal keys (`i0.G`),
+//! joining-device keys (`i0.#`), label nets — are interned into
+//! [`ChipView::strings`]. No key is ever copied into a second table,
+//! and "same identity ⇒ same node" holds across the whole pipeline,
+//! which is what keeps an edit session's cached rows valid. Node ids
+//! therefore depend on interning history (a from-scratch build and a
+//! patched session may number them differently) — which is fine,
+//! because [`assemble_netlist`] canonicalises by key *strings*: net
+//! identity, aliases, and ordering never see the raw ids (an interned
+//! and an auto key that render alike tie-break by the tag bit alone).
+//! Auto keys are rendered to text exactly once, by
+//! [`NetParts::assemble`], and the text moves into the net list.
 //!
 //! # Parallelism
 //!
@@ -41,12 +45,12 @@
 //! worker count** ([`NetParts::build_parallel`], driven by
 //! [`CheckOptions::parallelism`](crate::CheckOptions::parallelism); the
 //! seventh differential-oracle leg in `tests/differential.rs` pins it).
-//! The assembly itself ([`NetParts::assemble`] →
-//! [`assemble_netlist`]) stays serial: it is a global union-find plus
-//! canonical naming, the same fold the incremental session re-runs after
-//! patching rows.
+//! The assembly ([`NetParts::assemble`] → [`assemble_netlist`]) renders
+//! the live auto keys on the pool too; the fold itself stays serial: it
+//! is a global union-find plus canonical naming, the same fold the
+//! incremental session re-runs after patching rows.
 
-use crate::binding::{ChipView, Istr, StringInterner};
+use crate::binding::{dotted, remap_key, ChipView, Istr, NetKey, StringInterner};
 use crate::connect::is_joining_class;
 use crate::parallel::run_chunked;
 use crate::violations::Violation;
@@ -54,6 +58,7 @@ use diic_cif::NetLabel;
 use diic_geom::{GridIndex, Point};
 use diic_netlist::{assemble_netlist, AssembleDevice, NetId, Netlist};
 use diic_tech::{DeviceClass, LayerId, Technology};
+use std::borrow::Cow;
 
 /// Output of net-list generation.
 #[derive(Debug, Clone)]
@@ -161,14 +166,15 @@ pub struct LabelParts {
 
 /// The int-keyed net graph behind net-list generation.
 ///
-/// Nodes are **raw indices into the owning view's interner**
-/// ([`ChipView::strings`]) — there is no second key table, so net node
-/// keys are never re-interned, and the interner's append-only contract
-/// makes nodes **stable across edits** (stale keys simply stop being
-/// referenced). The element/device/label rows record which nodes are
-/// live and how they connect. [`NetParts::assemble`] folds the graph
-/// through [`assemble_netlist`] — the same canonicalisation the
-/// [`diic_netlist::NetlistBuilder`] uses, keyed purely on the node's
+/// Nodes are **the owning view's [`NetKey`]s** (raw indices into
+/// [`ChipView::strings`] or, tagged, into [`ChipView::auto_keys`]) —
+/// there is no second key table, so net node keys are never
+/// re-interned, and both tables' append-only contract makes nodes
+/// **stable across edits** (stale keys simply stop being referenced).
+/// The element/device/label rows record which nodes are live and how
+/// they connect. [`NetParts::assemble`] folds the graph through
+/// [`assemble_netlist`] — the same canonicalisation the
+/// [`diic_netlist::NetlistBuilder`] uses, keyed on the node's
 /// *strings* — so a graph patched incrementally by a
 /// [`crate::incremental::CheckSession`] produces a net list
 /// byte-identical to a from-scratch build even where the two interned
@@ -188,21 +194,17 @@ pub struct NetParts {
 
 impl NetParts {
     /// Remaps every node through an interner compaction map
-    /// ([`crate::binding::StringInterner::compact`]): nodes are raw
-    /// interner indices, so when the owning view's table is compacted
-    /// (a long-lived service session shedding edit-churn garbage) the
-    /// whole graph renumbers with it. The caller must keep every node
-    /// key alive in the compaction — the remap is dense and
+    /// ([`crate::binding::StringInterner::compact`]) and an auto-key
+    /// compaction map ([`crate::binding::AutoKeys::compact`]): nodes
+    /// are the view's keys, so when its tables are compacted (a
+    /// long-lived service session shedding edit-churn garbage) the
+    /// whole graph renumbers with them. The caller must keep every node
+    /// key alive in the compactions — the remaps are dense and
     /// order-preserving, so the graph stays isomorphic and
     /// [`NetParts::assemble`] (which canonicalises by the node
     /// *strings*) produces byte-identical net lists.
-    pub fn remap_strings(&mut self, remap: &[Option<crate::binding::Istr>]) {
-        let map = |n: u32| -> u32 {
-            // invariant: the compaction keep set includes every node.
-            remap[n as usize]
-                .expect("live net nodes survive compaction")
-                .index()
-        };
+    pub fn remap_nodes(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
+        let map = |n: u32| -> u32 { remap_key(NetKey::from_node(n), strings, autos).node() };
         for node in self.element_node.iter_mut().flatten() {
             *node = map(*node);
         }
@@ -267,11 +269,11 @@ impl NetParts {
     ) -> NetParts {
         let mut parts = NetParts::default();
         // Element nodes: a parallel read-only sweep of the net-key and
-        // device columns. The node *is* the interned key's index — no
-        // interner traffic at all.
+        // device columns. The node *is* the element's key — no interner
+        // traffic at all.
         let ro: &ChipView = view;
         parts.element_node = run_chunked(ro.elements.len(), workers, |id| {
-            element_is_netted(ro, id).then(|| ro.elements.net_keys()[id].index())
+            element_is_netted(ro, id).then(|| ro.elements.net_keys()[id].node())
         });
         parts.set_conn_edges(merges);
         let bind = BindIndex::build_parallel(ro, tech, workers);
@@ -348,7 +350,7 @@ impl NetParts {
         let nodes: Vec<u32> = draft
             .keys
             .into_iter()
-            .map(|k| strings.intern_owned(k.into()).index())
+            .map(|k| NetKey::named(strings.intern_owned(k.into())).node())
             .collect();
         DeviceParts {
             terms: draft
@@ -379,7 +381,7 @@ impl NetParts {
         let Some(draft) = draft.0 else {
             return LabelParts::default();
         };
-        let node = strings.intern_owned(draft.key.into()).index();
+        let node = NetKey::named(strings.intern_owned(draft.key.into())).node();
         LabelParts {
             node: Some(node),
             edges: draft
@@ -397,30 +399,63 @@ impl NetParts {
 
     /// Assembles the canonical net list and per-element / per-terminal
     /// resolutions from the current graph. Node keys render through the
-    /// view's interner (the only key table there is).
-    pub fn assemble(&self, view: &ChipView) -> NetgenResult {
-        // Live nodes: whatever the element/device/label rows reference.
-        let mut live: Vec<u32> = self.element_node.iter().flatten().copied().collect();
-        for d in &self.devices {
-            live.extend(d.terms.iter().map(|&(_, n)| n));
+    /// view: interned keys borrow their string, and each live auto key
+    /// is formatted once — on `workers` threads — with the text moving
+    /// into the net list's aliases.
+    pub fn assemble(&self, view: &ChipView, workers: usize) -> NetgenResult {
+        // Live nodes: whatever the element/device/label rows reference,
+        // numbered in node order (interned keys first: the tag bit is
+        // the top bit) by a mark-and-scan over each key space's dense
+        // node → position map.
+        const DEAD: u32 = u32::MAX;
+        let mut named_pos = vec![DEAD; view.strings.len()];
+        let mut auto_pos = vec![DEAD; view.auto_keys.len()];
+        let nodes = (self.element_node.iter().flatten())
+            .chain(
+                self.devices
+                    .iter()
+                    .flat_map(|d| d.terms.iter().map(|(_, n)| n)),
+            )
+            .chain(self.labels.iter().flat_map(|l| &l.node));
+        for &n in nodes {
+            match NetKey::from_node(n).as_auto() {
+                Some(a) => auto_pos[a as usize] = 0,
+                None => named_pos[n as usize] = 0,
+            }
         }
-        for l in &self.labels {
-            live.extend(l.node);
+        let mut live: Vec<NetKey> = Vec::new();
+        let spaces = [
+            (&mut named_pos, NetKey::from_node as fn(u32) -> NetKey),
+            (&mut auto_pos, NetKey::auto),
+        ];
+        for (positions, key) in spaces {
+            for (i, p) in positions.iter_mut().enumerate() {
+                if *p != DEAD {
+                    *p = live.len() as u32;
+                    live.push(key(i as u32));
+                }
+            }
         }
-        live.sort_unstable();
-        live.dedup();
-        let nodes: Vec<(u32, &str)> = live
-            .iter()
-            .map(|&n| (n, view.strings.get(Istr::from_index(n))))
-            .collect();
+        let pos = |n: u32| -> u32 {
+            match NetKey::from_node(n).as_auto() {
+                Some(a) => auto_pos[a as usize],
+                None => named_pos[n as usize],
+            }
+        };
+        let names: Vec<Cow<'_, str>> =
+            run_chunked(live.len(), workers, |p| view.net_key_str(live[p]));
 
-        let mut edges: Vec<(u32, u32)> = self.conn_edges.clone();
+        let mut node_edges: Vec<(u32, u32)> = self.conn_edges.clone();
         for d in &self.devices {
-            edges.extend_from_slice(&d.edges);
+            node_edges.extend_from_slice(&d.edges);
         }
         for l in &self.labels {
-            edges.extend_from_slice(&l.edges);
+            node_edges.extend_from_slice(&l.edges);
         }
+        let edges: Vec<(u32, u32)> = run_chunked(node_edges.len(), workers, |i| {
+            let (a, b) = node_edges[i];
+            (pos(a), pos(b))
+        });
 
         let devices: Vec<AssembleDevice<'_>> = view
             .devices
@@ -430,31 +465,23 @@ impl NetParts {
                 name: view.str(dev.path),
                 device_type: view.str(dev.device_type),
                 class: dev.class.unwrap_or(DeviceClass::Capacitor),
-                terminals: row.terms.iter().map(|(t, n)| (t.as_str(), *n)).collect(),
+                terminals: row
+                    .terms
+                    .iter()
+                    .map(|(t, n)| (t.as_str(), pos(*n)))
+                    .collect(),
             })
             .collect();
 
-        let (netlist, node_nets) = assemble_netlist(&nodes, &edges, &devices);
-        // Dense node → net map (nodes are view-interner indices).
-        let mut node_to_net: Vec<Option<NetId>> = vec![None; view.strings.len()];
-        for (&(node, _), &net) in nodes.iter().zip(&node_nets) {
-            node_to_net[node as usize] = Some(net);
-        }
-
-        let element_net: Vec<Option<NetId>> = self
-            .element_node
-            .iter()
-            .map(|n| n.and_then(|n| node_to_net[n as usize]))
-            .collect();
+        let (netlist, node_nets) = assemble_netlist(names, &edges, &devices);
+        let net_of = |n: u32| node_nets[pos(n) as usize];
+        let element_net: Vec<Option<NetId>> = run_chunked(self.element_node.len(), workers, |id| {
+            self.element_node[id].map(net_of)
+        });
         let device_terminal_nets: Vec<Vec<NetId>> = self
             .devices
             .iter()
-            .map(|row| {
-                row.terms
-                    .iter()
-                    .filter_map(|(_, n)| node_to_net[*n as usize])
-                    .collect()
-            })
+            .map(|row| row.terms.iter().map(|&(_, n)| net_of(n)).collect())
             .collect();
 
         NetgenResult {
@@ -503,7 +530,7 @@ fn device_draft(view: &ChipView, di: usize, bind: &BindIndex) -> DeviceDraft {
     if is_joining_class(dev.class) {
         // One net for the whole device.
         draft.expect = "joining device geometry is netted";
-        draft.keys.push(format!("{}.#", view.str(dev.path)));
+        draft.keys.push(dotted(view.str(dev.path), "#"));
         for &eid in &dev.element_ids {
             draft.edges.push((0, eid));
         }
@@ -520,7 +547,7 @@ fn device_draft(view: &ChipView, di: usize, bind: &BindIndex) -> DeviceDraft {
         draft.expect = "bindable elements are netted";
         for (tname, layer, pos) in &dev.terminals {
             let ki = draft.keys.len();
-            draft.keys.push(format!("{}.{}", view.str(dev.path), tname));
+            draft.keys.push(dotted(view.str(dev.path), tname));
             for id in bind.elements_at(view, *layer, *pos) {
                 draft.edges.push((ki, id));
             }
@@ -573,9 +600,10 @@ pub fn generate_netlist(
     generate_netlist_parallel(view, tech, merges, labels, 1)
 }
 
-/// [`generate_netlist`] with the per-scope union phase fanned out over
-/// `workers` scoped threads ([`NetParts::build_parallel`]) — the
-/// assembly stays serial and canonical, so any worker count produces a
+/// [`generate_netlist`] with the per-scope union phase and the auto-key
+/// rendering fanned out over `workers` scoped threads
+/// ([`NetParts::build_parallel`], [`NetParts::assemble`]) — the fold
+/// stays serial and canonical, so any worker count produces a
 /// byte-identical [`NetgenResult`].
 pub fn generate_netlist_parallel(
     view: &mut ChipView,
@@ -584,7 +612,7 @@ pub fn generate_netlist_parallel(
     labels: &[(NetLabel, Option<LayerId>)],
     workers: usize,
 ) -> NetgenResult {
-    NetParts::build_parallel(view, tech, merges, labels, workers).assemble(view)
+    NetParts::build_parallel(view, tech, merges, labels, workers).assemble(view, workers)
 }
 
 #[cfg(test)]

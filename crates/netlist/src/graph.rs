@@ -2,6 +2,7 @@
 
 use crate::unionfind::UnionFind;
 use diic_tech::DeviceClass;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Identifier of a net in a [`Netlist`].
@@ -131,13 +132,14 @@ pub struct AssembleDevice<'a> {
     pub device_type: &'a str,
     /// Electrical class.
     pub class: DeviceClass,
-    /// `(terminal-name, node)` pairs.
+    /// `(terminal-name, node)` pairs (nodes are positions in the
+    /// names given to [`assemble_netlist`]).
     pub terminals: Vec<(&'a str, u32)>,
 }
 
 /// Assembles a canonical [`Netlist`] from an explicit node/edge/device
 /// graph, returning it together with the per-node net resolution
-/// (aligned with the `nodes` slice).
+/// (aligned with `names`).
 ///
 /// This is the single canonicalisation path: [`NetlistBuilder::finish`]
 /// is a thin wrapper over it, and the incremental checker calls it
@@ -145,70 +147,93 @@ pub struct AssembleDevice<'a> {
 /// session netlist is byte-identical to a from-scratch build: both are
 /// this one pure function of (live nodes, connectivity, devices).
 ///
+/// Nodes are positions in `names`; edges and device terminals refer to
+/// them by position. Owned names move into the net list's aliases
+/// without a copy.
+///
 /// Canonical form: nets are the connected components of the node graph;
 /// a net's canonical name is its shortest (then lexicographically
 /// smallest) alias; `aliases` are sorted; nets are ordered by canonical
-/// name; terminals appear in device order. Node ids may be sparse —
-/// edge/terminal endpoints must all appear in `nodes`.
+/// name; terminals appear in device order. Distinct nodes may carry
+/// equal names: such ties break by position, so the order is total and
+/// the result is a pure function of the inputs.
 pub fn assemble_netlist(
-    nodes: &[(u32, &str)],
+    names: Vec<Cow<'_, str>>,
     edges: &[(u32, u32)],
     devices: &[AssembleDevice<'_>],
 ) -> (Netlist, Vec<NetId>) {
-    // Dense remap so union-find stays compact under sparse node ids.
-    let max_node = nodes.iter().map(|&(n, _)| n).max().map_or(0, |n| n + 1);
-    let mut dense: Vec<u32> = vec![u32::MAX; max_node as usize];
+    let n = names.len();
     let mut uf = UnionFind::new();
-    for (node, _) in nodes {
-        dense[*node as usize] = uf.make();
+    for _ in 0..n {
+        uf.make();
     }
-    for (a, b) in edges {
-        uf.union(dense[*a as usize], dense[*b as usize]);
+    for &(a, b) in edges {
+        uf.union(a, b);
     }
+    let root: Vec<u32> = (0..n as u32).map(|node| uf.find(node)).collect();
 
-    // Group aliases by component root (dense root ids index a Vec).
-    let mut groups: Vec<Vec<&str>> = vec![Vec::new(); nodes.len()];
-    for (node, name) in nodes {
-        groups[uf.find(dense[*node as usize]) as usize].push(name);
+    // Bucket the names by component root (a counting sort: each bucket
+    // is one contiguous slice, its names moved in), then sort each
+    // bucket's aliases by (name, position).
+    let mut start = vec![0u32; n + 1];
+    for &r in &root {
+        start[r as usize + 1] += 1;
     }
-    // Deterministic net order: by canonical (shortest, then smallest)
-    // alias.
-    let mut roots: Vec<(&str, u32, Vec<&str>)> = groups
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let bucket = |r: usize| start[r] as usize..start[r + 1] as usize;
+    let mut members: Vec<(Cow<'_, str>, u32)> = vec![(Cow::Borrowed(""), 0); n];
+    let mut fill = start.clone();
+    for ((node, name), &r) in names.into_iter().enumerate().zip(&root) {
+        members[fill[r as usize] as usize] = (name, node as u32);
+        fill[r as usize] += 1;
+    }
+    // One net per non-empty bucket, with its canonical (shortest, then
+    // smallest) alias.
+    let mut nets_by_root: Vec<(usize, usize)> = Vec::new();
+    for r in 0..n {
+        let range = bucket(r);
+        if range.is_empty() {
+            continue;
+        }
+        let aliases = &mut members[range.clone()];
+        aliases.sort_unstable();
+        let canon = (aliases.iter().enumerate())
+            .min_by_key(|(_, (name, pos))| (name.len(), name, pos))
+            .map(|(i, _)| range.start + i)
+            .expect("bucket is non-empty");
+        nets_by_root.push((r, canon));
+    }
+    // Deterministic net order: by canonical alias, ties by position.
+    nets_by_root.sort_unstable_by(|&(_, a), &(_, b)| members[a].cmp(&members[b]));
+
+    let mut root_to_net: Vec<NetId> = vec![NetId(u32::MAX); n];
+    for (i, &(r, _)) in nets_by_root.iter().enumerate() {
+        root_to_net[r] = NetId(i as u32);
+    }
+    let node_nets: Vec<NetId> = root.iter().map(|&r| root_to_net[r as usize]).collect();
+    let mut nets: Vec<Net> = nets_by_root
         .into_iter()
-        .enumerate()
-        .filter(|(_, aliases)| !aliases.is_empty())
-        .map(|(root, aliases)| {
-            let canon = *aliases
-                .iter()
-                .min_by_key(|a| (a.len(), **a))
-                .expect("group is non-empty");
-            (canon, root as u32, aliases)
+        .map(|(r, canon)| Net {
+            name: members[canon].0.to_string(),
+            aliases: members[bucket(r)]
+                .iter_mut()
+                .map(|(name, _)| std::mem::take(name).into_owned())
+                .collect(),
+            terminals: Vec::new(),
         })
         .collect();
-    roots.sort_unstable_by(|a, b| a.0.cmp(b.0));
-
-    let mut root_to_net: Vec<NetId> = vec![NetId(u32::MAX); uf.len()];
-    let mut nets: Vec<Net> = Vec::with_capacity(roots.len());
-    for (canon, root, mut aliases) in roots {
-        let id = NetId(nets.len() as u32);
-        aliases.sort_unstable();
-        root_to_net[root as usize] = id;
-        nets.push(Net {
-            name: canon.to_string(),
-            aliases: aliases.into_iter().map(str::to_string).collect(),
-            terminals: Vec::new(),
-        });
-    }
 
     let mut out_devices: Vec<Device> = Vec::with_capacity(devices.len());
     for (di, dev) in devices.iter().enumerate() {
         let mut terminals = Vec::with_capacity(dev.terminals.len());
-        for (tname, node) in &dev.terminals {
-            let net = root_to_net[uf.find(dense[*node as usize]) as usize];
+        for &(tname, node) in &dev.terminals {
+            let net = node_nets[node as usize];
             nets[net.0 as usize]
                 .terminals
-                .push((DeviceId(di as u32), (*tname).to_string()));
-            terminals.push(((*tname).to_string(), net));
+                .push((DeviceId(di as u32), tname.to_string()));
+            terminals.push((tname.to_string(), net));
         }
         out_devices.push(Device {
             name: dev.name.to_string(),
@@ -217,11 +242,6 @@ pub fn assemble_netlist(
             terminals,
         });
     }
-
-    let node_nets: Vec<NetId> = nodes
-        .iter()
-        .map(|&(node, _)| root_to_net[uf.find(dense[node as usize]) as usize])
-        .collect();
 
     (
         Netlist {
@@ -296,12 +316,7 @@ impl NetlistBuilder {
     /// Produces the canonical net list (through [`assemble_netlist`],
     /// the same path the incremental checker's patched graph takes).
     pub fn finish(self) -> Netlist {
-        let nodes: Vec<(u32, &str)> = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (i as u32, n.as_str()))
-            .collect();
+        // Nodes are dense `uf.make()` ids, i.e. positions in `names`.
         let devices: Vec<AssembleDevice<'_>> = self
             .devices
             .iter()
@@ -312,7 +327,8 @@ impl NetlistBuilder {
                 terminals: terms.iter().map(|(t, n)| (t.as_str(), *n)).collect(),
             })
             .collect();
-        assemble_netlist(&nodes, &self.edges, &devices).0
+        let names = self.names.into_iter().map(Cow::Owned).collect();
+        assemble_netlist(names, &self.edges, &devices).0
     }
 }
 
@@ -391,6 +407,22 @@ mod tests {
         // Both devices appear on the shared net.
         let net = n.net(d1);
         assert_eq!(net.terminals.len(), 2);
+    }
+
+    #[test]
+    fn equal_names_on_distinct_nodes_order_by_position() {
+        // Two unconnected nodes that render alike stay two nets, in
+        // node order, whatever the names' ownership.
+        let names = vec![
+            Cow::Borrowed("x"),
+            Cow::Owned("x".to_string()),
+            Cow::Borrowed("a"),
+        ];
+        let (n, node_nets) = assemble_netlist(names, &[], &[]);
+        assert_eq!(n.net_count(), 3);
+        assert_eq!(node_nets, vec![NetId(1), NetId(2), NetId(0)]);
+        assert_eq!(n.net(NetId(1)).name, "x");
+        assert_eq!(n.net(NetId(2)).aliases, vec!["x".to_string()]);
     }
 
     #[test]

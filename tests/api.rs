@@ -599,6 +599,65 @@ fn malformed_bodies_are_4xx_never_panics() {
 }
 
 #[test]
+fn reserved_names_in_edits_are_422() {
+    // Names starting with '#' are reserved for the checker's own net
+    // keys: a declared net or instance name could otherwise spell an
+    // undeclared element's auto key and merge two unrelated nets.
+    use diic::cif::{Call, Element, Item, Shape, SymbolId};
+    use diic::core::EditSet;
+    use diic::geom::Transform;
+
+    let app = service();
+    let cif = "DS 1; L NM; B 2000 750 1000 375; DF; C 1 T 0 5000; L NM; B 2000 750 1000 375; E";
+    let layout = diic::cif::parse(cif).unwrap();
+    let id = open_session(&app, cif, "{}");
+    let element = |net: &str| {
+        Item::Element(Element {
+            layer: diic::cif::LayerRef(0), // NM, the layout's only layer
+            shape: Shape::Box(Rect::new(0, 0, 2000, 750)),
+            net: Some(net.to_string()),
+        })
+    };
+    let call = |name: &str| {
+        Item::Call(Call {
+            target: SymbolId(0),
+            transform: Transform::IDENTITY,
+            name: name.to_string(),
+        })
+    };
+    let edits = |name: &str| -> [EditSet; 4] {
+        let mut add_element = EditSet::new();
+        add_element.add_box("NM", Rect::new(0, 9000, 2000, 9750), Some(name));
+        let mut add_call = EditSet::new();
+        add_call.add_call(SymbolId(0), Transform::IDENTITY, name);
+        let mut replace_net = EditSet::new();
+        replace_net.replace_symbol(SymbolId(0), vec![element(name)]);
+        let mut replace_call = EditSet::new();
+        replace_call.replace_symbol(SymbolId(0), vec![call(name)]);
+        [add_element, add_call, replace_net, replace_call]
+    };
+    let path = format!("/sessions/{id}/edits");
+    for set in edits("#:3:0,0,2000,750") {
+        let body = wire::edit_set_to_json(&set, &layout).to_string();
+        let resp = post(&app, &path, body.clone());
+        assert_eq!(resp.status, StatusCode::UNPROCESSABLE_ENTITY, "{body}");
+        let detail = json_body(resp);
+        let detail = detail.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains("reserved"), "{detail}");
+    }
+    // The same edits under an ordinary name are accepted (all but the
+    // last, whose body would call its own symbol).
+    for set in &edits("ok")[..3] {
+        let body = wire::edit_set_to_json(set, &layout).to_string();
+        assert_eq!(
+            post(&app, &path, body.clone()).status,
+            StatusCode::OK,
+            "{body}"
+        );
+    }
+}
+
+#[test]
 fn session_id_space_discriminates_404_from_410() {
     let app = service();
     // Never issued.

@@ -40,10 +40,12 @@
 //! must produce byte-identical results — violations, merges,
 //! `pairs_examined`, and the assembled net list — for any worker count.
 //! Alongside it, `interned_strings_round_trip` proves the `ChipView`
-//! string interner is a pure storage decision: every rendered
-//! `path` / `net_key` string resolves back to its own handle, parallel
-//! instantiation renders the same strings as serial, and shared paths
-//! collapse to single interner entries.
+//! string interner and auto-key records are a pure storage decision:
+//! every rendered `path` / declared-net string resolves back to its own
+//! handle, every undeclared element's rendered key equals the text a
+//! test-local reference formats (the string scheme the records
+//! replaced), parallel instantiation renders the same keys as serial,
+//! and shared paths collapse to single interner entries.
 //!
 //! The **eighth leg** (`columnar_equals_boxed`) pins the columnar
 //! element store the same way: the struct-of-arrays `ElementColumns`
@@ -66,6 +68,7 @@
 //! added) and re-runs the recall oracle under them: rule decks that
 //! tighten rules never lose injected faults.
 
+use diic::cif::{Item, Layout};
 use diic::core::{
     account, check_cif, check_connections, check_connections_parallel, env_parallelism, flat_check,
     generate_netlist, generate_netlist_parallel, instantiate_parallel, CheckOptions, CheckReport,
@@ -75,6 +78,59 @@ use diic::gen::{generate, ChipSpec, ErrorKind};
 use diic::tech::nmos::nmos_technology;
 use diic::tech::Technology;
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
+
+/// The reference auto net keys, element by element (`None` for a
+/// declared net): `#path:layer:x1,y1,x2,y2` with the definition-local
+/// bbox, and `:n` on the n-th later exact duplicate in element order.
+/// This is the string scheme the view's auto-key records replaced,
+/// formatted here directly from the layout.
+fn reference_auto_keys(layout: &Layout, binding: &LayerBinding) -> Vec<Option<String>> {
+    fn walk(
+        layout: &Layout,
+        binding: &LayerBinding,
+        item: &Item,
+        path: &str,
+        out: &mut Vec<Option<String>>,
+    ) {
+        match item {
+            Item::Element(e) => {
+                let Some(layer) = binding.layer(e.layer) else {
+                    return;
+                };
+                let b = e.shape.bbox();
+                out.push(
+                    e.net.is_none().then(|| {
+                        format!("#{}:{}:{},{},{},{}", path, layer.0, b.x1, b.y1, b.x2, b.y2)
+                    }),
+                );
+            }
+            Item::Call(c) => {
+                let child = if path.is_empty() {
+                    c.name.clone()
+                } else {
+                    format!("{path}.{}", c.name)
+                };
+                for item in &layout.symbol(c.target).items {
+                    walk(layout, binding, item, &child, out);
+                }
+            }
+        }
+    }
+    let mut keys = Vec::new();
+    for item in layout.top_items() {
+        walk(layout, binding, item, "", &mut keys);
+    }
+    let mut seen: HashMap<String, u32> = HashMap::new();
+    for key in keys.iter_mut().flatten() {
+        let n = seen.entry(key.clone()).or_insert(0);
+        if *n > 0 {
+            *key = format!("{key}:{n}");
+        }
+        *n += 1;
+    }
+    keys
+}
 
 /// The parallel worker count exercised against serial runs.
 fn wide_workers() -> usize {
@@ -308,12 +364,14 @@ proptest! {
         }
     }
 
-    /// The interner round-trip oracle: interning `path` / `net_key` /
-    /// device-type strings behind `u32` handles must not change a
-    /// single rendered string. Every handle resolves back to itself
-    /// through a read-only lookup, parallel (sharded) instantiation
-    /// renders exactly the serial strings, and elements sharing an
-    /// instance share one interned path entry.
+    /// The interner round-trip oracle: interning `path` / declared-net
+    /// / device-type strings behind `u32` handles, and keeping auto net
+    /// keys as records, must not change a single rendered string. Every
+    /// handle resolves back to itself through a read-only lookup, every
+    /// auto key renders the reference text and is its element's alone,
+    /// parallel (sharded) instantiation renders exactly the serial
+    /// strings, and elements sharing an instance share one interned
+    /// path entry.
     #[test]
     fn interned_strings_round_trip(
         nx in 2usize..5,
@@ -338,14 +396,23 @@ proptest! {
         let serial = instantiate_parallel(&layout, &tech, &binding, 1);
         let wide = instantiate_parallel(&layout, &tech, &binding, wide_workers().max(2));
 
-        let mut distinct = std::collections::HashSet::new();
-        for e in &serial.elements {
-            // Round trip: the rendered string resolves back to the
-            // handle that rendered it (the interner stores one copy).
-            prop_assert_eq!(
-                serial.strings.lookup(serial.str(e.net_key())),
-                Some(e.net_key())
-            );
+        let reference = reference_auto_keys(&layout, &binding);
+        prop_assert_eq!(reference.len(), serial.elements.len());
+        let mut distinct = HashSet::new();
+        let mut autos = HashSet::new();
+        for (e, want) in serial.elements.iter().zip(&reference) {
+            match (e.net_key().as_named(), want) {
+                // Round trip: the rendered string resolves back to the
+                // handle that rendered it (the interner stores one copy).
+                (Some(named), None) => {
+                    prop_assert_eq!(serial.strings.lookup(serial.str(named)), Some(named))
+                }
+                (None, Some(want)) => {
+                    prop_assert_eq!(&*serial.net_key_str(e.net_key()), want.as_str());
+                    prop_assert!(autos.insert(e.net_key()), "auto keys are unique per element");
+                }
+                (got, want) => prop_assert!(false, "declared {got:?} vs reference {want:?}"),
+            }
             prop_assert_eq!(serial.strings.lookup(serial.str(e.path())), Some(e.path()));
             distinct.insert(serial.str(e.path()).to_string());
         }
@@ -357,7 +424,7 @@ proptest! {
         // element, device for device.
         prop_assert_eq!(serial.elements.len(), wide.elements.len());
         for (a, b) in serial.elements.iter().zip(&wide.elements) {
-            prop_assert_eq!(serial.str(a.net_key()), wide.str(b.net_key()));
+            prop_assert_eq!(serial.net_key_str(a.net_key()), wide.net_key_str(b.net_key()));
             prop_assert_eq!(serial.str(a.path()), wide.str(b.path()));
         }
         for (a, b) in serial.devices.iter().zip(&wide.devices) {
@@ -404,7 +471,7 @@ proptest! {
             prop_assert_eq!(e.bbox(), rec.bbox);
             prop_assert_eq!(e.rects(), rec.rects.as_slice());
             prop_assert_eq!(e.net_key(), rec.net_key);
-            prop_assert_eq!(e.net_declared(), rec.net_declared);
+            prop_assert_eq!(e.net_declared(), rec.net_declared());
             prop_assert_eq!(e.path(), rec.path);
             prop_assert_eq!(e.device(), rec.device);
             prop_assert_eq!(e.source(), rec.source);

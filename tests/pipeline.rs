@@ -262,3 +262,77 @@ fn extraction_matches_intended_structure_for_sizes() {
         assert!(diff.matched, "nx={nx}: {:?}", diff.messages);
     }
 }
+
+/// A declared net cannot spell an undeclared element's auto key: the
+/// `#` prefix is reserved for the checker. Through CIF both the `9N`
+/// and the `9L` form are parse errors. A layout built in code, which
+/// bypasses the parser, keeps the two nets apart — the gap between the
+/// boxes is a spacing violation, not suppressed as same-net — and still
+/// assembles the same net list at any worker count and in a session.
+#[test]
+fn reserved_names_cannot_spoof_auto_keys() {
+    use diic::cif::{Element, Item, Layout, Shape};
+    use diic::core::{check, incremental::CheckSession, CheckReport};
+    use diic::geom::Rect;
+
+    let tech = nmos_technology();
+    let options = CheckOptions::default();
+    let spoof = "#:3:-500,-500,500,500";
+    for cif in [
+        format!("L NM; B 1000 1000 0 0;\n9N {spoof}; B 1000 1000 1500 0; E"),
+        format!("L NM; B 1000 1000 0 0; B 1000 1000 1500 0;\n9L {spoof} NM 1500 0; E"),
+    ] {
+        let err = check_cif(&cif, &tech, &options).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.to_string().contains("reserved"), "{err}");
+    }
+    let spacing = |r: &CheckReport| {
+        r.violations
+            .iter()
+            .filter(|v| matches!(v.kind, ViolationKind::Spacing { .. }))
+            .count()
+    };
+    let honest = check_cif(
+        "L NM; B 1000 1000 0 0; 9N OTHER; B 1000 1000 1500 0; E",
+        &tech,
+        &options,
+    )
+    .unwrap();
+    assert_eq!(
+        spacing(&honest),
+        1,
+        "500 < 750 metal spacing between two nets"
+    );
+
+    let mut layout = Layout::new();
+    let nm = layout.intern_layer("NM");
+    for (x, net) in [(0, None), (1500, Some(spoof.to_string()))] {
+        layout.push_top(Item::Element(Element {
+            layer: nm,
+            shape: Shape::Box(Rect::new(x - 500, -500, x + 500, 500)),
+            net,
+        }));
+    }
+    let serial = check(
+        &layout,
+        &tech,
+        &CheckOptions {
+            parallelism: 1,
+            ..options.clone()
+        },
+    );
+    assert_eq!(spacing(&serial), 1, "the declared name stays its own net");
+    let spoofed = serial.netlist.nets().iter().filter(|n| n.name == spoof);
+    assert_eq!(spoofed.count(), 2, "two nets that render alike");
+    let wide = check(
+        &layout,
+        &tech,
+        &CheckOptions {
+            parallelism: 2,
+            ..options.clone()
+        },
+    );
+    assert_eq!(wide.netlist, serial.netlist);
+    let session = CheckSession::new(layout, &tech, &options);
+    assert_eq!(session.report().netlist, serial.netlist);
+}
