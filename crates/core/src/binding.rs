@@ -56,7 +56,6 @@ use diic_geom::skeleton::Skeleton;
 use diic_geom::{Point, Rect, Region, Transform};
 use diic_tech::{DeviceClass, LayerId, Technology};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `u32`-keyed handle into a [`StringInterner`]: the interned form of
 /// an element's `path` and declared net key and a [`DeviceInstance`]'s
@@ -70,28 +69,6 @@ impl Istr {
     /// The raw index into the owning interner.
     pub fn index(self) -> u32 {
         self.0
-    }
-}
-
-/// The hasher of [`StringInterner`]'s hash → id map: its keys already
-/// are SipHash outputs, so it passes them through instead of hashing
-/// them a second time.
-#[derive(Debug, Clone, Copy, Default)]
-struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
     }
 }
 
@@ -111,7 +88,7 @@ pub struct StringInterner {
     /// String hash → first id with that hash. Full-`u64` collisions are
     /// vanishingly rare, so the common case costs one flat map entry
     /// per distinct string; the rare extra ids live in `overflow`.
-    first: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    first: HashMap<u64, u32>,
     /// `(hash, id)` pairs beyond the first per hash — scanned only when
     /// the first id's string mismatches.
     overflow: Vec<(u64, u32)>,
@@ -124,7 +101,7 @@ pub struct StringInterner {
 
 impl StringInterner {
     fn hash_of(s: &str) -> u64 {
-        use std::hash::Hash;
+        use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         s.hash(&mut h);
         h.finish()
@@ -395,7 +372,7 @@ impl NetKey {
     }
 
     /// Rebuilds a key from a net-graph node id.
-    pub fn from_node(node: u32) -> NetKey {
+    pub(crate) fn from_node(node: u32) -> NetKey {
         NetKey(node)
     }
 }
@@ -410,13 +387,13 @@ impl NetKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AutoKey {
     /// Instance path, interned in the owning view.
-    pub path: Istr,
+    pub(crate) path: Istr,
     /// Technology layer.
-    pub layer: LayerId,
+    pub(crate) layer: LayerId,
     /// Duplicate ordinal.
-    pub ordinal: u32,
+    pub(crate) ordinal: u32,
     /// Bounding box in the defining symbol's coordinates.
-    pub bbox: Rect,
+    pub(crate) bbox: Rect,
 }
 
 impl AutoKey {
@@ -469,7 +446,7 @@ impl AutoKeys {
     }
 
     /// The record behind an index.
-    pub fn get(&self, id: u32) -> &AutoKey {
+    pub(crate) fn get(&self, id: u32) -> &AutoKey {
         &self.records[id as usize]
     }
 
@@ -480,7 +457,7 @@ impl AutoKeys {
     }
 
     /// The index of `key`'s stored record, adding it on a miss.
-    pub fn intern(&mut self, key: AutoKey) -> u32 {
+    pub(crate) fn intern(&mut self, key: AutoKey) -> u32 {
         if (self.records.len() + 1) * 2 > self.slots.len() {
             self.reindex((self.records.len() + 1) * 2);
         }
@@ -525,7 +502,7 @@ impl AutoKeys {
 
     /// The record's text: `#path:layer:x1,y1,x2,y2`, plus `:n` for
     /// ordinal n > 0.
-    pub fn render(&self, id: u32, strings: &StringInterner) -> String {
+    pub(crate) fn render(&self, id: u32, strings: &StringInterner) -> String {
         let k = self.get(id);
         // The numeric tail `:layer:x1,y1,x2,y2[:n]`, written backwards
         // into a stack buffer: six fields of at most 20 characters and
@@ -574,7 +551,7 @@ impl AutoKeys {
     /// compaction map ([`StringInterner::compact`]); returns the old →
     /// new index map (`None` for evicted records). The caller must keep
     /// every surviving record's path alive in that compaction.
-    pub fn compact(&mut self, keep: &[bool], paths: &[Option<Istr>]) -> Vec<Option<u32>> {
+    pub(crate) fn compact(&mut self, keep: &[bool], paths: &[Option<Istr>]) -> Vec<Option<u32>> {
         debug_assert!(
             self.pending.is_empty(),
             "compaction between walk and keying"
@@ -768,7 +745,7 @@ impl ElementColumns {
     /// compaction map ([`AutoKeys::compact`]). The caller must have
     /// built both keep sets from these very columns, so every stored
     /// handle survives.
-    pub fn remap_keys(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
+    pub(crate) fn remap_keys(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
         for k in &mut self.net_key {
             *k = remap_key(*k, strings, autos);
         }
@@ -855,9 +832,9 @@ impl ElementColumns {
         self.iter().map(|e| e.to_element()).collect()
     }
 
-    /// Reserves exactly enough room to append `shards` (the stitch sizes
-    /// every column and arena once instead of growing them by
-    /// doubling).
+    /// Reserves exactly enough room to append `shards`: grown by
+    /// doubling instead, each column and arena would hold up to half
+    /// its capacity as slack for the rest of the check.
     fn reserve_for(&mut self, shards: &[ChipView]) {
         let total = |f: fn(&ElementColumns) -> usize| -> usize {
             shards.iter().map(|s| f(&s.elements)).sum()
@@ -1103,8 +1080,9 @@ impl ChipView {
     }
 
     /// Renders a net key of this view: a declared key borrows its
-    /// interned string, an auto key formats its record
-    /// ([`AutoKeys::render`]).
+    /// interned string, an auto key formats its record as
+    /// `#path:layer:x1,y1,x2,y2`, plus `:n` for a duplicate's ordinal
+    /// n > 0.
     pub fn net_key_str(&self, k: NetKey) -> std::borrow::Cow<'_, str> {
         match k.as_named() {
             Some(s) => self.str(s).into(),

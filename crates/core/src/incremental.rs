@@ -1237,12 +1237,11 @@ impl CheckSession {
     /// Compacts the session's long-lived memory in place: rebuilds the
     /// spatial index without tombstones ([`diic_geom::GridIndex::compact`])
     /// and evicts the auto-key records and interner strings orphaned by
-    /// edit churn ([`crate::binding::AutoKeys::compact`],
-    /// [`crate::binding::StringInterner::compact`] — removed elements
-    /// and replaced definitions leave dead identities, paths and net
-    /// keys behind), remapping every live handle: the element columns,
-    /// the device instances, and the net graph's nodes
-    /// ([`NetParts::remap_nodes`]). The session pool fires this on
+    /// edit churn ([`crate::binding::StringInterner::compact`] and its
+    /// auto-key counterpart — removed elements and replaced definitions
+    /// leave dead identities, paths and net keys behind), remapping
+    /// every live handle: the element columns, the device instances,
+    /// and the net graph's nodes. The session pool fires this on
     /// eviction pressure; rendered reports before and after are
     /// byte-identical (`service_sessions_survive_compaction` in
     /// `tests/api.rs` and [`mod@self`]'s own unit test pin it).
@@ -1721,53 +1720,136 @@ mod tests {
 
     #[test]
     fn compact_memory_evicts_churn_garbage_and_stays_exact() {
-        // Add-then-remove churn leaves orphaned auto-key records behind
-        // (each added element at a distinct bbox keys a fresh record).
-        // compact_memory must evict them, renumber every live handle
-        // (columns, devices, net-graph nodes), and leave the rendered
-        // report and the edit loop byte-identical. The base chip is
-        // wide enough that one-box churn stays under the full-rebuild
-        // threshold (a rebuild resets the tables and would hide the
-        // garbage this test is about).
-        let mut cif = String::new();
+        // Add-then-remove churn leaves both kinds of garbage behind:
+        // orphaned interner strings (declared net keys, instance paths)
+        // and orphaned auto-key records (each added element at a
+        // distinct bbox or path keys a fresh record). Removing the first
+        // two items then orphans an early string and the first record,
+        // so compaction must renumber the survivors — element keys and
+        // paths, the records' own paths, and the net graph's nodes —
+        // and leave the rendered report and the edit loop byte-identical.
+        // The base chip is wide enough that the churn stays under the
+        // full-rebuild threshold (a rebuild resets the tables and would
+        // hide the garbage this test is about).
+        let mut cif = String::from(
+            "DS 1; L NM; B 2000 750 1000 375; B 2000 750 5000 375; DF;\n\
+             L NM; 9N first; B 2000 750 1000 375;\n\
+             L NM; B 2000 750 1000 3375;\n\
+             C 1 T 10000 0;\n",
+        );
+        // The first rail is declared: its key is interned after the
+        // early items' strings, so their eviction renumbers it.
+        cif.push_str("9N rail; ");
         for i in 0..40 {
-            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 375 + i * 3000));
+            cif.push_str(&format!("L NM; B 2000 750 1000 {};\n", 6375 + i * 3000));
         }
         cif.push('E');
         let layout = parse(&cif).unwrap();
         let tech = nmos_technology();
+        use crate::binding::Istr;
         let mut session = CheckSession::new(layout, &tech, &options());
-        let live_autos = session.view.auto_keys.len();
+        let sym = session.layout().symbol_by_cif_id(1).unwrap();
+        let (live_strings, live_autos) = (session.view.strings.len(), session.view.auto_keys.len());
         for step in 0..24i64 {
+            let y = 10_000 + step * 3000;
             let mut add = EditSet::new();
-            add.add_box(
-                "NM",
-                Rect::new(50_000, 10_000 + step * 3000, 52_000, 10_750 + step * 3000),
-                None,
-            );
+            add.add_box("NM", Rect::new(50_000, y, 52_000, y + 750), None)
+                .add_box(
+                    "NM",
+                    Rect::new(60_000, y, 62_000, y + 750),
+                    Some(&format!("n{step}")),
+                )
+                .add_call(
+                    sym,
+                    Transform::translate(Vector::new(70_000, y)),
+                    &format!("c{step}"),
+                );
             let stats = session.apply(&add).unwrap();
             assert!(!stats.full_rebuild, "churn edits must stay incremental");
             let mut remove = EditSet::new();
-            remove.remove(40);
+            remove.remove(43).remove(43).remove(43);
             session.apply(&remove).unwrap();
         }
-        assert_eq!(session.view.auto_keys.len(), live_autos + 24);
+        // Per round: one declared key and one path string; one record
+        // for the box and two for the call's boxes.
+        assert_eq!(session.view.strings.len(), live_strings + 48);
+        assert_eq!(session.view.auto_keys.len(), live_autos + 72);
+        let mut early = EditSet::new();
+        early.remove(1).remove(0);
+        let stats = session.apply(&early).unwrap();
+        assert!(!stats.full_rebuild, "two early items stay incremental");
+
         let rendered =
             |s: &CheckSession| format!("{:?}", (&s.report().violations, &s.report().netlist));
+        let key_texts = |s: &CheckSession| -> Vec<(String, String)> {
+            s.view
+                .elements
+                .iter()
+                .map(|e| {
+                    (
+                        s.view.net_key_str(e.net_key()).into_owned(),
+                        s.view.str(e.path()).to_string(),
+                    )
+                })
+                .collect()
+        };
         let before_text = rendered(&session);
+        let before_keys = key_texts(&session);
+        let before_handles: Vec<(NetKey, Istr)> = session
+            .view
+            .elements
+            .iter()
+            .map(|e| (e.net_key(), e.path()))
+            .collect();
         let before = session.memory_bytes();
         let compaction = session.compact_memory();
         assert_eq!(
-            compaction.auto_keys_evicted, 24,
-            "24 add/remove rounds orphan 24 auto keys: {compaction:?}"
+            compaction.strings_evicted, 49,
+            "24 rounds orphan 48 strings, the early removal one more: {compaction:?}"
+        );
+        assert!(compaction.string_bytes_freed > 0);
+        assert_eq!(
+            compaction.auto_keys_evicted, 73,
+            "24 rounds orphan 72 auto keys, the early removal one more: {compaction:?}"
         );
         assert!(compaction.auto_key_bytes_freed > 0);
+        assert_eq!(session.view.strings.len(), live_strings - 1);
         assert_eq!(
             session.view.auto_keys.len(),
-            live_autos,
+            live_autos - 1,
             "the table shrinks to the live keys"
         );
         assert!(session.memory_bytes() < before);
+        // Every surviving handle moved (the early evictions shift both
+        // spaces), yet each element renders exactly as before.
+        let after_handles: Vec<(NetKey, Istr)> = session
+            .view
+            .elements
+            .iter()
+            .map(|e| (e.net_key(), e.path()))
+            .collect();
+        let moved = |f: fn(&(NetKey, Istr)) -> bool| {
+            before_handles
+                .iter()
+                .zip(&after_handles)
+                .any(|(b, a)| f(b) && b != a)
+        };
+        assert!(
+            moved(|h| h.0.as_auto().is_some()),
+            "auto records renumbered"
+        );
+        assert!(
+            moved(|h| h.0.as_auto().is_none()),
+            "interned keys renumbered"
+        );
+        assert!(
+            before_handles
+                .iter()
+                .zip(&after_handles)
+                .any(|(b, a)| b.1 != a.1),
+            "instance paths renumbered"
+        );
+        assert_eq!(key_texts(&session), before_keys);
         assert_eq!(
             rendered(&session),
             before_text,
@@ -1775,13 +1857,16 @@ mod tests {
         );
         assert_matches_full(&session);
 
-        // The compacted session keeps editing (and re-keying) fine.
+        // The compacted session keeps editing (and re-keying) fine: a
+        // box 500 above the first rail adds one spacing violation.
+        let violations = session.report().violations.len();
         let mut add = EditSet::new();
-        add.add_box("NM", Rect::new(0, 1250, 2000, 2000), None);
+        add.add_box("NM", Rect::new(0, 7250, 2000, 8000), None);
         session.apply(&add).unwrap();
-        assert_eq!(session.report().violations.len(), 1);
+        assert_eq!(session.report().violations.len(), violations + 1);
         assert_matches_full(&session);
         let again = session.compact_memory();
+        assert_eq!(again.strings_evicted, 0, "nothing orphaned since");
         assert_eq!(again.auto_keys_evicted, 0, "nothing orphaned since");
         assert_matches_full(&session);
     }

@@ -55,9 +55,9 @@
 //! instantiated [`ChipView`] itself remains O(elements) — it *is* the
 //! chip, with its per-element `path` / declared-net / device-type
 //! strings stored once behind `u32` handles in a [`StringInterner`] and
-//! its auto net keys as fixed-width [`AutoKey`] records, rendered only
-//! in the net list, to shrink that floor): instantiation is sharded per
-//! top-level item
+//! its auto net keys as fixed-width [`binding::AutoKey`] records,
+//! rendered only in the net list, to shrink that floor): instantiation
+//! is sharded per top-level item
 //! ([`binding::instantiate_parallel`]), the interaction stage streams
 //! candidate pairs tile by tile — one tile buffer per live worker —
 //! instead of materialising the all-pairs list
@@ -135,7 +135,7 @@ pub mod spill;
 pub mod violations;
 
 pub use binding::{
-    instantiate_parallel, AutoKey, AutoKeys, ChipElement, ChipView, DeviceInstance, ElementColumns,
+    instantiate_parallel, AutoKeys, ChipElement, ChipView, DeviceInstance, ElementColumns,
     ElementRef, Istr, LayerBinding, NetKey, StringInterner,
 };
 pub use checker::{

@@ -203,7 +203,7 @@ impl NetParts {
     /// order-preserving, so the graph stays isomorphic and
     /// [`NetParts::assemble`] (which canonicalises by the node
     /// *strings*) produces byte-identical net lists.
-    pub fn remap_nodes(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
+    pub(crate) fn remap_nodes(&mut self, strings: &[Option<Istr>], autos: &[Option<u32>]) {
         let map = |n: u32| -> u32 { remap_key(NetKey::from_node(n), strings, autos).node() };
         for node in self.element_node.iter_mut().flatten() {
             *node = map(*node);
@@ -445,17 +445,16 @@ impl NetParts {
         let names: Vec<Cow<'_, str>> =
             run_chunked(live.len(), workers, |p| view.net_key_str(live[p]));
 
-        let mut node_edges: Vec<(u32, u32)> = self.conn_edges.clone();
+        let mut edges: Vec<(u32, u32)> = self.conn_edges.clone();
         for d in &self.devices {
-            node_edges.extend_from_slice(&d.edges);
+            edges.extend_from_slice(&d.edges);
         }
         for l in &self.labels {
-            node_edges.extend_from_slice(&l.edges);
+            edges.extend_from_slice(&l.edges);
         }
-        let edges: Vec<(u32, u32)> = run_chunked(node_edges.len(), workers, |i| {
-            let (a, b) = node_edges[i];
-            (pos(a), pos(b))
-        });
+        for (a, b) in &mut edges {
+            (*a, *b) = (pos(*a), pos(*b));
+        }
 
         let devices: Vec<AssembleDevice<'_>> = view
             .devices
@@ -475,9 +474,8 @@ impl NetParts {
 
         let (netlist, node_nets) = assemble_netlist(names, &edges, &devices);
         let net_of = |n: u32| node_nets[pos(n) as usize];
-        let element_net: Vec<Option<NetId>> = run_chunked(self.element_node.len(), workers, |id| {
-            self.element_node[id].map(net_of)
-        });
+        let element_net: Vec<Option<NetId>> =
+            self.element_node.iter().map(|n| n.map(net_of)).collect();
         let device_terminal_nets: Vec<Vec<NetId>> = self
             .devices
             .iter()
